@@ -14,7 +14,7 @@ import json
 import sys
 from dataclasses import dataclass, field
 
-from .errors import CertificationFailed, SpaceformError
+from .errors import CertificationFailed, SizeLimitExceeded, SpaceformError
 from .groups import (
     is_fixed_point_free,
     is_isomorphic,
@@ -30,7 +30,12 @@ from .search import (
     run_search,
     write_results,
 )
-from .spectra import SumRep, fingerprint, molien_coefficients
+from .spectra import Spectrum, SumRep, fingerprint, molien_coefficients
+
+# Most F-value terms, #classes * (2*degree_bound + 1), that fingerprint and
+# certify-pair accept per spectrum.  The largest Table-1 group (N = 29648)
+# needs 2,997,882; the cost grows with the square of the class count.
+EVALUATION_LIMIT = 10_000_000
 
 
 @dataclass
@@ -86,10 +91,20 @@ def _parse_reps(text: str) -> tuple[tuple[int, int], ...]:
     return tuple(pairs)
 
 
+def _check_evaluation_budget(rep: SumRep) -> None:
+    """Refuse, before any F-value is evaluated, a spectrum above EVALUATION_LIMIT."""
+    spectrum = Spectrum.of(rep)
+    classes, points = len(spectrum.classes), 2 * spectrum.degree_bound + 1
+    if classes * points > EVALUATION_LIMIT:
+        raise SizeLimitExceeded(f"{classes} determinant classes x {points} points = "
+                                f"{classes * points} F-value terms exceeds limit {EVALUATION_LIMIT}")
+
+
 def _cmd_fingerprint(args, diags) -> CommandResult:
     g = validate_type1(args.m, args.n, _reduce_r(args.m, args.r, diags))
     pairs = _parse_reps(args.reps) if args.reps else ((1, 1),)
     rep = SumRep.from_pairs(g, pairs)
+    _check_evaluation_budget(rep)
     fp = fingerprint(rep)
     payload = fp.to_dict()
     if args.kmolien:
@@ -101,6 +116,8 @@ def _cmd_fingerprint(args, diags) -> CommandResult:
 def _cmd_certify_pair(args, diags) -> CommandResult:
     g1 = validate_type1(args.m, args.n, _reduce_r(args.m, args.r1, diags))
     g2 = validate_type1(args.m, args.n, _reduce_r(args.m, args.r2, diags))
+    for g in (g1, g2):
+        _check_evaluation_budget(SumRep.rho11(g))
     try:
         cert = certify_pair(g1, g2)
     except CertificationFailed as exc:

@@ -35,7 +35,7 @@ class NotFixedPointFree(SpaceformError):
 
 
 class SizeLimitExceeded(SpaceformError):
-    """Brute-force enumeration refused: group order above the configured limit."""
+    """Input refused: its brute-force or evaluation size is above a fixed limit."""
 
 
 class InvalidAutomorphism(SpaceformError):

@@ -32,24 +32,18 @@ from .groups import (
 )
 from .numtheory import carmichael, divisors, multiplicative_order, prime_factors, torsion_elements
 from .spectra import (
-    DEFAULT_PRIME_FLOOR,
+    Spectrum,
+    SpectrumFingerprint,
     SumRep,
+    _evaluation_grid,
     almost_conjugate,
-    choose_prime,
-    degree_bound_from_classes,
-    det_classes,
     evaluate_f_values,
-    root_of_unity,
-    select_points,
-    shared_fingerprints,
 )
 
 
 @dataclass(frozen=True)
 class SearchConfig:
     n_max: int
-    k_molien: int = 0
-    prime_floor: int = DEFAULT_PRIME_FLOOR
     jobs: int = 1
     output_path: str | None = None
 
@@ -146,12 +140,20 @@ def theorem42_applicable(g1: TypeIParams, g2: TypeIParams) -> tuple[bool, tuple[
     return (witness is not None, witness)
 
 
-def certify_pair(g1: TypeIParams, g2: TypeIParams, rep_pairs=None,
-                 prime_floor: int = DEFAULT_PRIME_FLOOR) -> PairCertificate:
+def certify_pair(g1: TypeIParams, g2: TypeIParams, rep_pairs=None) -> PairCertificate:
     """Run all three checks on a pair and produce the certificate.
 
     Raises CertificationFailed naming the first failing check.
     """
+    g1, g2 = _ordered_pair(g1, g2)
+    rep_pairs = rep_pairs or ((1, 1),)
+    s1, s2 = (Spectrum.of(SumRep.from_pairs(g, rep_pairs)) for g in (g1, g2))
+    grid = _evaluation_grid(g1.order, max(s1.degree_bound, s2.degree_bound))
+    return _certify(s1, s2, grid, s1.f_values(*grid), s2.f_values(*grid))
+
+
+def _ordered_pair(g1: TypeIParams, g2: TypeIParams) -> tuple[TypeIParams, TypeIParams]:
+    """The parameter and non-isomorphism checks; the pair ordered by r."""
     if (g1.m, g1.n) != (g2.m, g2.n):
         raise GroupMismatch(f"pair must share (m, n): {(g1.m, g1.n)} vs {(g2.m, g2.n)}")
     if g1.d != g2.d:
@@ -160,28 +162,40 @@ def certify_pair(g1: TypeIParams, g2: TypeIParams, rep_pairs=None,
         g1, g2 = g2, g1
     if is_isomorphic(g1, g2):
         raise CertificationFailed("non_isomorphism", f"r2 = {g2.r} is a power of r1 = {g1.r} mod {g1.m}")
-    powers = tuple(pow(g1.r, c, g1.m) for c in range(g1.d))
-    rep_pairs = rep_pairs or ((1, 1),)
-    sr1 = SumRep.from_pairs(g1, rep_pairs)
-    sr2 = SumRep.from_pairs(g2, rep_pairs)
-    fp1, fp2 = shared_fingerprints([sr1, sr2], prime_floor=prime_floor)
-    if fp1.values != fp2.values:
+    return g1, g2
+
+
+def _certify(s1: Spectrum, s2: Spectrum, grid, values1, values2) -> PairCertificate:
+    """The fingerprint and almost-conjugacy checks on an ordered pair that
+    passed _ordered_pair, and its certificate.
+
+    grid = (p, root, points) and the F-values may run past the pair's own
+    2*degree_bound+1 points: select_points is a prefix rule, so the pair's
+    points and values are the first entries.
+    """
+    g1, g2 = s1.rep.group, s2.rep.group
+    db = max(s1.degree_bound, s2.degree_bound)
+    count = 2 * db + 1
+    p, root, points = grid
+    if values1[:count] != values2[:count]:
         raise CertificationFailed("fingerprint", "value vectors differ")
-    if not almost_conjugate(sr1, sr2):
+    if not almost_conjugate(s1.rep, s2.rep):
         raise CertificationFailed("almost_conjugacy", "natural bijection does not match eigenvalues")
+    fp = SpectrumFingerprint(g1.m, g1.n, g1.d, g1.r, s1.rep.pairs, p, root, db,
+                             points[:count], values1[:count])
     applicable, witness = theorem42_applicable(g1, g2)
     return PairCertificate(
         N=g1.order, m=g1.m, n=g1.n, d=g1.d, r1=g1.r, r2=g2.r,
-        powers_of_r1=powers, almost_conjugacy=True,
+        powers_of_r1=tuple(pow(g1.r, c, g1.m) for c in range(g1.d)), almost_conjugacy=True,
         theorem42_applicable=applicable, theorem42_witness=witness,
-        fingerprint_match=fp1.evidence_dict(),
+        fingerprint_match=fp.evidence_dict(),
     )
 
 
 _PREFILTER_POINTS = 16
 
 
-def _pairs_for_order(N: int, prime_floor: int = DEFAULT_PRIME_FLOOR) -> list[PairCertificate]:
+def _pairs_for_order(N: int) -> list[PairCertificate]:
     groups = enumerate_canonical(N)
     prebuckets: dict[tuple, list[TypeIParams]] = {}
     for g in groups:
@@ -194,48 +208,34 @@ def _pairs_for_order(N: int, prime_floor: int = DEFAULT_PRIME_FLOOR) -> list[Pai
         # Full-strength bucketing at 2*degree_bound+1 shared points, evaluated
         # lazily: a short point prefix splits off most non-isospectral groups
         # (different F values anywhere prove different spectra), and only
-        # prefix-collisions get the complete vector.
-        classes = {g: det_classes(SumRep.rho11(g), N) for g in members}
-        db = max(degree_bound_from_classes(cl, 2 * g.d) for g, cl in classes.items())
-        count = 2 * db + 1
-        p = choose_prime(N, prime_floor)
-        root = root_of_unity(p, N)
-        pre_points = select_points(p, N, min(_PREFILTER_POINTS, count))
+        # prefix-collisions get the complete vector.  The bucket-wide bound
+        # covers every pair's own bound, so certification reuses the vectors.
+        spectra = {g: Spectrum.of(SumRep.rho11(g)) for g in members}
+        grid = _evaluation_grid(N, max(s.degree_bound for s in spectra.values()))
+        p, root, points = grid
         stage1: dict[tuple, list[TypeIParams]] = {}
         for g in members:
-            vals = evaluate_f_values(classes[g], N, p, root, pre_points)
+            vals = evaluate_f_values(spectra[g].classes, N, p, root, points[:_PREFILTER_POINTS])
             stage1.setdefault(vals, []).append(g)
         buckets: dict[tuple, list[TypeIParams]] = {}
         for pre in sorted(stage1):
             survivors = stage1[pre]
             if len(survivors) < 2:
                 continue
-            full_points = select_points(p, N, count)
             for g in survivors:
-                vals = evaluate_f_values(classes[g], N, p, root, full_points)
+                vals = evaluate_f_values(spectra[g].classes, N, p, root, points)
                 buckets.setdefault(vals, []).append(g)
         for values in sorted(buckets):
-            mates = buckets[values]
+            mates = buckets[values]  # every mate has these values
             for i in range(len(mates)):
                 for j in range(i + 1, len(mates)):
-                    certs.append(certify_pair(mates[i], mates[j], prime_floor=prime_floor))
+                    g1, g2 = _ordered_pair(mates[i], mates[j])
+                    certs.append(_certify(spectra[g1], spectra[g2], grid, values, values))
     return certs
 
 
-def _search_worker(args) -> list[dict]:
-    N, prime_floor = args
-    return [c.to_dict() for c in _pairs_for_order(N, prime_floor)]
-
-
-def _cert_from_dict(dd: dict) -> PairCertificate:
-    return PairCertificate(
-        N=dd["N"], m=dd["m"], n=dd["n"], d=dd["d"], r1=dd["r1"], r2=dd["r2"],
-        powers_of_r1=tuple(dd["non_isomorphism_witness"]["powers_of_r1_mod_m"]),
-        almost_conjugacy=dd["almost_conjugacy"],
-        theorem42_applicable=dd["theorem42_applicable"],
-        theorem42_witness=tuple(dd["theorem42_witness"]) if dd["theorem42_witness"] else None,
-        fingerprint_match=dd["fingerprint_match"],
-    )
+def _search_worker(N: int) -> list[PairCertificate]:
+    return _pairs_for_order(N)
 
 
 def run_search(cfg: SearchConfig) -> list[PairCertificate]:
@@ -243,10 +243,10 @@ def run_search(cfg: SearchConfig) -> list[PairCertificate]:
     orders = range(2, cfg.n_max + 1)
     if cfg.jobs > 1:
         with multiprocessing.Pool(cfg.jobs) as pool:
-            chunks = pool.map(_search_worker, [(N, cfg.prime_floor) for N in orders], chunksize=64)
-        certs = [_cert_from_dict(dd) for chunk in chunks for dd in chunk]
+            chunks = pool.map(_search_worker, orders, chunksize=64)
+        certs = [c for chunk in chunks for c in chunk]
     else:
-        certs = [c for N in orders for c in _pairs_for_order(N, cfg.prime_floor)]
+        certs = [c for N in orders for c in _pairs_for_order(N)]
     certs.sort(key=lambda c: (c.N, c.m, c.r1, c.r2))
     if cfg.output_path:
         write_results(cfg.output_path, certs)
@@ -267,8 +267,7 @@ def write_results(path: str, certs: list[PairCertificate]) -> None:
             fh.write(c.canonical_bytes())
 
 
-def construct_theorem42_pairs(m_max: int, d_values=None,
-                              prime_floor: int = DEFAULT_PRIME_FLOOR) -> list[PairCertificate]:
+def construct_theorem42_pairs(m_max: int, d_values=None) -> list[PairCertificate]:
     """Pairs Gamma_d(m, 2d, r1), Gamma_d(m, 2d, r2) with r1*r2 = -1 mod m.
 
     d runs over powers of two >= 8 (d in {1, 2, 4} provably gives cyclic or
@@ -308,8 +307,7 @@ def construct_theorem42_pairs(m_max: int, d_values=None,
                 if key in seen:
                     continue
                 seen.add(key)
-                certs.append(certify_pair(validate_type1(m, n, c1), validate_type1(m, n, c2),
-                                          prime_floor=prime_floor))
+                certs.append(certify_pair(validate_type1(m, n, c1), validate_type1(m, n, c2)))
     certs.sort(key=lambda c: (c.N, c.m, c.r1, c.r2))
     return certs
 
@@ -327,7 +325,7 @@ def crosscheck_table(certs: list[PairCertificate]) -> dict:
     return {"rows": rows, "all_applicable": all(r["theorem42_applicable"] for r in rows)}
 
 
-def negative_d2_check(n_max: int, prime_floor: int = DEFAULT_PRIME_FLOOR) -> bool:
+def negative_d2_check(n_max: int) -> bool:
     """True iff no certificate with d = 2 exists for any N <= n_max.
 
     Validity (gcd(r-1, m) = 1 with r^2 = 1) forces r = -1 mod every prime
@@ -341,6 +339,6 @@ def negative_d2_check(n_max: int, prime_floor: int = DEFAULT_PRIME_FLOOR) -> boo
                 continue
             valid = [r for r in torsion_elements(m, 2) if r != 1 and math.gcd(r - 1, m) == 1]
             if len(valid) > 1:
-                if any(c.d == 2 for c in _pairs_for_order(m * n, prime_floor)):
+                if any(c.d == 2 for c in _pairs_for_order(m * n)):
                     return False
     return True

@@ -140,23 +140,25 @@ def _alpha(g: TypeIParams, c: int) -> int:
     return total % g.m
 
 
-def _element_det_factors(g: TypeIParams, k: int, l: int, a: int, b: int, L: int) -> DetFactors:
-    """The 2*gcd(b,d) factors (e, M) of det(I - rho_{k,l}(A^a B^b) z)."""
+def _det_factors(rep: SumRep, a: int, b: int, L: int) -> DetFactors:
+    """The factors (e, M) of det(I - rep(A^a B^b) z), 2*gcd(b,d) per summand, sorted."""
+    g = rep.group
     m, n, d = g.m, g.n, g.d
     c = math.gcd(b, d)
     e = d // c
     nd = n // d
-    y = l * (b // c) % nd
-    base = a * k % m * _alpha(g, b) % m if m > 1 else 0
+    alpha = _alpha(g, b)
     z_unit = L // m
     w_unit = L // nd
     factors = []
-    rj = 1 % m
-    for _ in range(c):
-        M = (base * rj % m * z_unit + y * w_unit) % L
-        factors.append((e, M))
-        factors.append((e, (L - M) % L))
-        if m > 1:
+    for s in rep.summands:
+        y = s.l * (b // c) % nd
+        base = a * s.k * alpha % m
+        rj = 1 % m
+        for _ in range(c):
+            M = (base * rj % m * z_unit + y * w_unit) % L
+            factors.append((e, M))
+            factors.append((e, (L - M) % L))
             rj = rj * g.r % m
     return tuple(sorted(factors))
 
@@ -180,21 +182,13 @@ def sum_rep_det_factors(rep: SumRep, x: GroupElement, L: int | None = None) -> D
     L = L or g.m * g.n
     if L % (g.m * g.n):
         raise ValueError(f"modulus {L} must be a multiple of m*n = {g.m * g.n}")
-    factors: list[tuple[int, int]] = []
-    for s in rep.summands:
-        factors.extend(_element_det_factors(g, s.k, s.l, x.a, x.b, L))
-    return tuple(sorted(factors))
+    return _det_factors(rep, x.a, x.b, L)
 
 
 def char_poly_exponents(rep: RepParams, x: GroupElement, modulus: int | None = None) -> EigenExponentMultiset:
     """Eigenvalue exponents of rho_{k,l}(A^a B^b) as exponents of zeta_L."""
-    g = rep.group
-    if x.group != g:
-        raise GroupMismatch(f"{x.group} vs {g}")
-    L = modulus or g.m * g.n
-    if L % (g.m * g.n):
-        raise ValueError(f"modulus {L} must be a multiple of m*n = {g.m * g.n}")
-    factors = _element_det_factors(g, rep.k, rep.l, x.a, x.b, L)
+    L = modulus or rep.group.m * rep.group.n
+    factors = sum_rep_det_factors(SumRep((rep,)), x, L)
     return EigenExponentMultiset(L, _factors_to_exponents(factors, L))
 
 
@@ -370,22 +364,31 @@ def det_classes(rep: SumRep, L: int | None = None) -> tuple[tuple[DetFactors, in
     counts: dict[DetFactors, int] = {}
     for a in range(g.m):
         for b in range(g.n):
-            factors: list[tuple[int, int]] = []
-            for s in rep.summands:
-                factors.extend(_element_det_factors(g, s.k, s.l, a, b, L))
-            key = tuple(sorted(factors))
+            key = _det_factors(rep, a, b, L)
             counts[key] = counts.get(key, 0) + 1
     return tuple(sorted(counts.items()))
 
 
-def degree_bound_from_classes(classes, degree: int) -> int:
-    """Numerator/denominator degree bound for F_G over the product of the
-    distinct determinant polynomials: 2 + (#classes) * (2dp)."""
-    return 2 + len(classes) * degree
+@dataclass(frozen=True)
+class Spectrum:
+    """The determinant classes of one (group, reps) at L = m*n, and the
+    degree bound of F_G over them: all that F-values and certificates need.
 
+    The bound is on numerator and denominator degree of F_G over the product
+    of the distinct determinant polynomials: 2 + (#classes) * (2dp).
+    """
 
-def degree_bound(rep: SumRep, L: int | None = None) -> int:
-    return degree_bound_from_classes(det_classes(rep, L), rep.degree)
+    rep: SumRep
+    classes: tuple[tuple[DetFactors, int], ...]
+    degree_bound: int
+
+    @classmethod
+    def of(cls, rep: SumRep) -> "Spectrum":
+        classes = det_classes(rep)
+        return cls(rep, classes, 2 + len(classes) * rep.degree)
+
+    def f_values(self, p: int, root: int, points) -> tuple[int, ...]:
+        return evaluate_f_values(self.classes, self.rep.group.order, p, root, points)
 
 
 def prime_seed_offset() -> int:
@@ -396,10 +399,15 @@ def prime_seed_offset() -> int:
     return random.Random(int(seed)).randrange(1, 1_000_000)
 
 
-@lru_cache(maxsize=None)
 def choose_prime(L: int, floor: int = DEFAULT_PRIME_FLOOR) -> int:
-    """Smallest prime p = 1 + t*L with p > floor (deterministic policy)."""
-    return next_prime_in_progression(L, floor, prime_seed_offset())
+    """Smallest prime p = 1 + t*L with p > floor (deterministic policy), the
+    scan shifted by SPACEFORM_PRIME_SEED as it is set at this call."""
+    return _choose_prime(L, floor, prime_seed_offset())
+
+
+@lru_cache(maxsize=None)
+def _choose_prime(L: int, floor: int, offset: int) -> int:
+    return next_prime_in_progression(L, floor, offset)
 
 
 @lru_cache(maxsize=None)
@@ -434,34 +442,40 @@ def select_points(p: int, L: int, count: int) -> tuple[int, ...]:
     return tuple(points)
 
 
-def _class_field_data(classes, p: int, root: int):
-    """Per class: (count, [(e, det coefficients ascending in X = z^e), ...]).
+def _evaluation_grid(L: int, db: int, p: int | None = None, points=None):
+    """The shared (p, root, points): the default prime for L unless p is
+    given, its deterministic L-th root, and the first 2*db+1 points unless
+    points are given."""
+    if p is None:
+        p = choose_prime(L)
+    elif (p - 1) % L:
+        raise BadPrime(f"L = {L} does not divide p-1 = {p - 1}")
+    points = select_points(p, L, 2 * db + 1) if points is None else tuple(points)
+    return p, root_of_unity(p, L), points
 
-    All factors of one element share e (the permutation-cycle length depends
-    only on b), so the group list normally has a single entry; the general
-    grouping is kept for safety.  Expanding the product once lets each point
-    be evaluated by Horner with one multiplication per factor.
+
+def _class_field_data(classes, p: int, root: int):
+    """Per class: (count, e, det coefficients ascending in X = z^e).
+
+    Every factor of an element has the same e = d/gcd(b, d), the cycle length
+    of B^b, so each determinant is a polynomial in X = z^e.  Expanding it once
+    lets each point be evaluated by Horner with one multiplication per factor.
     """
     data = []
     for factors, count in classes:
-        by_e: dict[int, list[int]] = {}
-        for e, M in factors:
-            by_e.setdefault(e, []).append(pow(root, M, p))
-        groups = []
-        for e in sorted(by_e):
-            coeffs = [1]  # ascending in X
-            for em in by_e[e]:
-                coeffs.append(0)
-                for i in range(len(coeffs) - 1, 0, -1):
-                    coeffs[i] = (coeffs[i] - em * coeffs[i - 1]) % p
-            groups.append((e, tuple(coeffs)))
-        data.append((count, tuple(groups)))
+        coeffs = [1]
+        for _, M in factors:
+            em = pow(root, M, p)
+            coeffs.append(0)
+            for i in range(len(coeffs) - 1, 0, -1):
+                coeffs[i] = (coeffs[i] - em * coeffs[i - 1]) % p
+        data.append((count, factors[0][0], tuple(coeffs)))
     return data
 
 
 def _evaluate_sum(class_data, group_order: int, p: int, points) -> tuple[int, ...]:
     """F_G(z_i) = (1-z^2)/|G| * sum_g det(I - g z)^-1 at each point, over F_p."""
-    es = sorted({e for _, groups in class_data for e, _ in groups})
+    es = sorted({e for _, e, _ in class_data})
     inv_order = pow(group_order, p - 2, p)
     ncl = len(class_data)
     dets = [0] * ncl
@@ -469,15 +483,12 @@ def _evaluate_sum(class_data, group_order: int, p: int, points) -> tuple[int, ..
     values = []
     for z in points:
         zp = {e: pow(z, e, p) for e in es}
-        for i, (_, groups) in enumerate(class_data):
-            acc = 1
-            for e, coeffs in groups:
-                x = zp[e]
-                h = coeffs[-1]
-                for c in coeffs[-2::-1]:
-                    h = (h * x + c) % p
-                acc = acc * h % p if acc != 1 else h
-            dets[i] = acc
+        for i, (_, e, coeffs) in enumerate(class_data):
+            x = zp[e]
+            h = coeffs[-1]
+            for c in coeffs[-2::-1]:
+                h = (h * x + c) % p
+            dets[i] = h
         # Batched inversion: one modular exponentiation for all classes.
         acc = 1
         for i in range(ncl):
@@ -544,15 +555,13 @@ class SpectrumFingerprint:
         }
 
 
-def fingerprint(rep: SumRep, p: int | None = None, points=None,
-                prime_floor: int = DEFAULT_PRIME_FLOOR) -> SpectrumFingerprint:
+def fingerprint(rep: SumRep, p: int | None = None, points=None) -> SpectrumFingerprint:
     """Evaluate F_G at deterministic points; see select_points for the rule."""
-    fps = shared_fingerprints([rep], p=p, points=points, prime_floor=prime_floor)
+    fps = shared_fingerprints([rep], p=p, points=points)
     return fps[0]
 
 
-def shared_fingerprints(reps: list[SumRep], p: int | None = None, points=None,
-                        prime_floor: int = DEFAULT_PRIME_FLOOR) -> list[SpectrumFingerprint]:
+def shared_fingerprints(reps: list[SumRep], p: int | None = None, points=None) -> list[SpectrumFingerprint]:
     """Fingerprints of several same-order groups on one shared (p, root, points).
 
     The shared degree bound is the max of the per-group bounds, so equality of
@@ -562,22 +571,14 @@ def shared_fingerprints(reps: list[SumRep], p: int | None = None, points=None,
     if len(orders) != 1:
         raise GroupMismatch("shared fingerprints require equal group order")
     L = orders.pop()
-    all_classes = [det_classes(sr, L) for sr in reps]
-    db = max(degree_bound_from_classes(cl, sr.degree) for cl, sr in zip(all_classes, reps))
-    if p is None:
-        p = choose_prime(L, prime_floor)
-    elif (p - 1) % L:
-        raise BadPrime(f"L = {L} does not divide p-1 = {p - 1}")
-    root = root_of_unity(p, L)
-    if points is None:
-        points = select_points(p, L, 2 * db + 1)
-    else:
-        points = tuple(points)
+    spectra = [Spectrum.of(sr) for sr in reps]
+    db = max(s.degree_bound for s in spectra)
+    p, root, points = _evaluation_grid(L, db, p, points)
     out = []
-    for sr, classes in zip(reps, all_classes):
-        g = sr.group
-        values = evaluate_f_values(classes, g.order, p, root, points)
-        out.append(SpectrumFingerprint(g.m, g.n, g.d, g.r, sr.pairs, p, root, db, points, values))
+    for s in spectra:
+        g = s.rep.group
+        values = s.f_values(p, root, points)
+        out.append(SpectrumFingerprint(g.m, g.n, g.d, g.r, s.rep.pairs, p, root, db, points, values))
     return out
 
 
@@ -590,8 +591,7 @@ class MolienSeries:
 
 
 def molien_coefficients(rep: SumRep, truncation: int = DEFAULT_MOLIEN_TRUNCATION,
-                        p: int | None = None,
-                        prime_floor: int = DEFAULT_PRIME_FLOOR) -> MolienSeries:
+                        p: int | None = None) -> MolienSeries:
     """Power-series coefficients of F_G, lifted from F_p to integers.
 
     Each class determinant is inverted as a truncated power series; the prime
@@ -602,36 +602,31 @@ def molien_coefficients(rep: SumRep, truncation: int = DEFAULT_MOLIEN_TRUNCATION
     q = rep.degree - 1
     coeff_bound = max(harmonic_dim(q, k) for k in range(truncation + 1))
     if p is None:
-        p = choose_prime(L, max(prime_floor, coeff_bound))
+        p = choose_prime(L, max(DEFAULT_PRIME_FLOOR, coeff_bound))
     else:
         if (p - 1) % L:
             raise BadPrime(f"L = {L} does not divide p-1 = {p - 1}")
         if p <= coeff_bound:
             raise PrimeTooSmall(f"p = {p} <= dim H_({q},{truncation}) = {coeff_bound}")
     root = root_of_unity(p, L)
-    coeffs = _molien_from_classes(det_classes(rep, L), rep.degree, g.order, truncation, p, root)
+    coeffs = _molien_from_classes(det_classes(rep, L), g.order, truncation, p, root)
     return MolienSeries(truncation, tuple(coeffs))
 
 
-def _molien_from_classes(classes, degree: int, group_order: int, K: int, p: int, root: int) -> list[int]:
-    """Lifted coefficients of (1-z^2)/|G| * sum_C count/det_C as a power series."""
+def _molien_from_classes(classes, group_order: int, K: int, p: int, root: int) -> list[int]:
+    """Lifted coefficients of (1-z^2)/|G| * sum_C count/det_C as a power series.
+
+    det_C has its coefficients in X = z^e (_class_field_data), so only every
+    e-th power of z enters the inversion.
+    """
     total = [0] * (K + 1)
-    for factors, count in classes:
-        det = [0] * (degree + 1)
-        det[0] = 1
-        deg = 0
-        for e, M in factors:
-            em = pow(root, M, p)
-            for i in range(deg, -1, -1):
-                det[i + e] = (det[i + e] - em * det[i]) % p
-            deg += e
+    for count, e, det in _class_field_data(classes, p, root):
         inv = [0] * (K + 1)
         inv[0] = 1
         for t in range(1, K + 1):
             s = 0
-            for j in range(1, min(t, deg) + 1):
-                if det[j]:
-                    s += det[j] * inv[t - j]
+            for i in range(1, min(t // e, len(det) - 1) + 1):
+                s += det[i] * inv[t - i * e]
             inv[t] = -s % p
         for t in range(K + 1):
             total[t] = (total[t] + count * inv[t]) % p

@@ -1,7 +1,23 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
+
+from spaceform.cli import _check_evaluation_budget
+from spaceform.groups import validate_type1
+from spaceform.spectra import SumRep
+
+# sha256 of every file `search --nmax 3600 --out` writes, recorded with the
+# engine as it was before the search certified pairs from its own bucket
+# F-values (before then, certification recomputed every spectrum).
+SEARCH_3600_SHA256 = {
+    "pairs.csv": "8d31412e629f65edf7b5421f3b8f1f2b3b5af1f4f43ab6b2e06deda0017f0fba",
+    "pair_N1360_m85_n16_d8_r2-42.json": "aa820be11b154c7a70cdb271135c6b4194ed408d7f4537c926ccd7f39bb5e12c",
+    "pair_N2720_m85_n32_d16_r3-12.json": "d867ff14c31229d605371da06df16e6f0030b9037889a0bdee5e876e833ea330",
+    "pair_N3280_m205_n16_d8_r3-68.json": "6c7d02557d765b0dba5d52d41107e25cf21e7aaaddeb92bbf19a9b870837cc8f",
+    "pair_N3536_m221_n16_d8_r8-138.json": "3eccdeb4dfb9b38d8674a64f7f475b1389824ad5155eb9691c9511bd4a258314",
+}
 
 
 def run_cli(*args, expect_code=0, env_extra=None):
@@ -74,6 +90,16 @@ def test_fingerprint_with_molien():
     assert len(out["molien"]) == 9
 
 
+def test_fingerprint_and_certify_pair_refuse_oversized_group():
+    # The spectrum with the most F-value terms in Table 1 (N = 29648) is admitted.
+    _check_evaluation_budget(SumRep.rho11(validate_type1(1853, 16, 76)))
+    # |G| = 237184: 2118 classes x 67781 points, far past the evaluation budget
+    for args in (("fingerprint", "1853", "128", "76"), ("certify-pair", "1853", "128", "76", "185")):
+        out = payload(run_cli(*args, expect_code=1))
+        assert out["error"] == "SizeLimitExceeded"
+        assert "2118 determinant classes x 67781 points" in out["message"]
+
+
 def test_certify_pair_ok():
     out = payload(run_cli("certify-pair", "85", "16", "2", "42"))
     assert out["almost_conjugacy"] is True
@@ -91,6 +117,14 @@ def test_search_no_pairs(tmp_path):
     out = payload(run_cli("search", "--nmax", "300", "--out", str(out_dir)))
     assert out["pair_count"] == 0 and out["rows"] == []
     assert (out_dir / "pairs.csv").read_text().strip() == "N,m,n,d,r1,r2,theorem42"
+
+
+def test_search_artifacts_match_recorded_hashes(tmp_path, monkeypatch):
+    monkeypatch.delenv("SPACEFORM_PRIME_SEED", raising=False)
+    out_dir = tmp_path / "s"
+    run_cli("search", "--nmax", "3600", "--out", str(out_dir))
+    got = {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest() for name in os.listdir(out_dir)}
+    assert got == SEARCH_3600_SHA256
 
 
 def test_construct(tmp_path):

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import pickle
 
 import pytest
 
@@ -9,7 +10,7 @@ from spaceform.groups import is_fixed_point_free, validate_type1
 from spaceform.numtheory import prime_factors
 from spaceform.search import (
     SearchConfig,
-    _cert_from_dict,
+    _certify,
     _pairs_for_order,
     audible_invariants,
     certify_pair,
@@ -20,8 +21,10 @@ from spaceform.search import (
     run_search,
     theorem42_witness,
 )
-from spaceform.spectra import SumRep, evaluate_f_values, det_classes, degree_bound_from_classes, \
+from spaceform.spectra import Spectrum, SumRep, _evaluation_grid, evaluate_f_values, \
     choose_prime, root_of_unity, select_points
+
+from table1 import TABLE1_ROWS, canonical_row_set
 
 
 def brute_canonical(N):
@@ -86,12 +89,12 @@ def test_prebucket_pipeline_matches_naive_all_pairs():
     # one shared point list must find exactly the {2, 42} pair.
     N = 1360
     groups = enumerate_canonical(N)
-    classes = {g: det_classes(SumRep.rho11(g), N) for g in groups}
-    db = max(degree_bound_from_classes(cl, 2 * g.d) for g, cl in classes.items())
+    spectra = {g: Spectrum.of(SumRep.rho11(g)) for g in groups}
+    db = max(s.degree_bound for s in spectra.values())
     p = choose_prime(N)
     root = root_of_unity(p, N)
     points = select_points(p, N, 2 * db + 1)
-    vals = {g: evaluate_f_values(classes[g], N, p, root, points) for g in groups}
+    vals = {g: evaluate_f_values(spectra[g].classes, N, p, root, points) for g in groups}
     naive_pairs = {
         frozenset({(a.m, a.n, a.r), (b.m, b.n, b.r)})
         for i, a in enumerate(groups) for b in groups[i + 1:]
@@ -135,11 +138,22 @@ def test_run_search_deterministic_bytes(tmp_path):
     assert sorted(os.listdir(out1)) == sorted(os.listdir(out2))
 
 
-def test_certify_pair_search_consistency(tmp_path):
-    # certificates from the search and from direct certification byte-match
-    certs = run_search(SearchConfig(n_max=1360))
-    direct = certify_pair(validate_type1(85, 16, 2), validate_type1(85, 16, 42))
-    assert certs[0].canonical_bytes() == direct.canonical_bytes()
+def test_certify_pair_search_consistency():
+    # The search certifies from its bucket's F-values; direct certification
+    # recomputes them.  Both give the same bytes for every Table-1 pair.
+    certs = run_search(SearchConfig(n_max=3600))
+    expected = {row for row in canonical_row_set(TABLE1_ROWS) if row[0] <= 3600}
+    assert {(c.N, c.m, c.n, c.d, frozenset({c.r1, c.r2})) for c in certs} == expected
+    for c in certs:
+        direct = certify_pair(validate_type1(c.m, c.n, c.r1), validate_type1(c.m, c.n, c.r2))
+        assert c.canonical_bytes() == direct.canonical_bytes()
+    # Values on a longer point list than the pair's own, as a bucket-wide
+    # degree bound gives, certify to the same bytes.
+    s1, s2 = (Spectrum.of(SumRep.rho11(validate_type1(85, 16, r))) for r in (2, 42))
+    grid = _evaluation_grid(1360, s1.degree_bound + 25)
+    longer = _certify(s1, s2, grid, s1.f_values(*grid), s2.f_values(*grid))
+    assert len(grid[2]) > 2 * s1.degree_bound + 1
+    assert longer.canonical_bytes() == certs[0].canonical_bytes()
 
 
 def test_certify_pair_refutations():
@@ -156,8 +170,10 @@ def test_certify_pair_refutations():
 
 
 def test_certificate_roundtrip():
+    # Pool workers hand certificates back pickled.
     cert = certify_pair(validate_type1(85, 16, 2), validate_type1(85, 16, 42))
-    assert _cert_from_dict(cert.to_dict()) == cert
+    back = pickle.loads(pickle.dumps(cert))
+    assert back == cert and back.canonical_bytes() == cert.canonical_bytes()
     assert cert.powers_of_r1 == tuple(pow(2, c, 85) for c in range(8))
 
 

@@ -14,6 +14,7 @@ from spaceform.errors import (
 from spaceform.groups import is_fixed_point_free, validate_type1
 from spaceform.spectra import (
     RepParams,
+    Spectrum,
     SumRep,
     _class_field_data,
     _evaluate_sum,
@@ -22,7 +23,6 @@ from spaceform.spectra import (
     char_poly_exponents,
     char_poly_matrix_oracle,
     choose_prime,
-    degree_bound_from_classes,
     det_classes,
     evaluate_f_values,
     fingerprint,
@@ -100,12 +100,13 @@ def test_free_action_smallest_pair_group():
 def test_free_action_exhaustive(fpf_pool_2000):
     # no non-identity element of any fixed-point-free group with mn <= 2000
     # has eigenvalue 1: a zero exponent appears iff some factor has M = 0
-    from spaceform.spectra import _element_det_factors
+    from spaceform.spectra import _det_factors
     for g in fpf_pool_2000:
         L = g.m * g.n
+        rho = SumRep.rho11(g)
         for a in range(g.m):
             for b in range(g.n):
-                has_one = any(M == 0 for _, M in _element_det_factors(g, 1, 1, a, b, L))
+                has_one = any(M == 0 for _, M in _det_factors(rho, a, b, L))
                 assert has_one == (a == 0 and b == 0)
 
 
@@ -330,6 +331,16 @@ def test_shared_fingerprints_requires_equal_order():
         shared_fingerprints([SumRep.rho11(G85), SumRep.rho11(G54)])
 
 
+def test_choose_prime_follows_seed_set_after_first_call(monkeypatch):
+    monkeypatch.delenv("SPACEFORM_PRIME_SEED", raising=False)
+    default = choose_prime(1360)
+    monkeypatch.setenv("SPACEFORM_PRIME_SEED", "7")
+    seeded = choose_prime(1360)
+    assert seeded != default and (seeded - 1) % 1360 == 0
+    monkeypatch.delenv("SPACEFORM_PRIME_SEED")
+    assert choose_prime(1360) == default
+
+
 def test_fingerprint_bad_prime():
     with pytest.raises(BadPrime):
         fingerprint(SumRep.rho11(G54), p=10**18 + 9)
@@ -341,8 +352,11 @@ def test_molien_engine_round_sphere_q2():
     classes = (((1, 0),) * 3, 1),
     p = choose_prime(4, 10**6)
     root = root_of_unity(p, 4)
-    coeffs = _molien_from_classes(classes, 3, 1, 10, p, root)
+    coeffs = _molien_from_classes(classes, 1, 10, p, root)
     assert coeffs == [2 * k + 1 for k in range(11)]
+    # det = (1 - z^2)^2 is read in X = z^2: F = 1/(1 - z^2)
+    classes = (((2, 0),) * 2, 1),
+    assert _molien_from_classes(classes, 1, 10, p, root) == [1, 0] * 5 + [1]
 
 
 def test_molien_basic_properties():
@@ -383,12 +397,21 @@ def test_encode_consistency():
 
 # --- determinant classes --------------------------------------------------
 
-def test_det_classes_partition_group():
-    for g in (G54, G85):
-        classes = det_classes(SumRep.rho11(g))
-        assert sum(c for _, c in classes) == g.order
-        db = degree_bound_from_classes(classes, 2 * g.d)
-        assert db == 2 + len(classes) * 2 * g.d
+def test_det_classes_partition_group(valid_pool_2000):
+    # Multi-summand sums over the pool as well: the factors of every element
+    # share one cycle length e, which the F-value and Molien engines rely on.
+    rng = random.Random(67)
+    reps = [SumRep.rho11(G54), SumRep.rho11(G85)]
+    for g in rng.sample([g for g in valid_pool_2000 if g.m * g.n <= 600], 40):
+        ks = [k for k in range(1, g.m + 1) if math.gcd(k, g.m) == 1]
+        ls = [l for l in range(1, g.n + 1) if math.gcd(l, g.n) == 1]
+        reps.append(SumRep.from_pairs(g, [(rng.choice(ks), rng.choice(ls)) for _ in range(3)]))
+    for rep in reps:
+        g = rep.group
+        spectrum = Spectrum.of(rep)
+        assert sum(c for _, c in spectrum.classes) == g.order
+        assert spectrum.degree_bound == 2 + len(spectrum.classes) * rep.degree
+        assert all(len({e for e, _ in factors}) == 1 for factors, _ in spectrum.classes)
 
 
 def test_det_factors_consistent_with_exponents():
