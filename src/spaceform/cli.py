@@ -24,13 +24,14 @@ from .groups import (
 )
 from .search import (
     SearchConfig,
-    certify_pair,
+    _certify_spectra,
+    _ordered_pair,
     construct_theorem42_pairs,
     crosscheck_table,
     run_search,
     write_results,
 )
-from .spectra import Spectrum, SumRep, fingerprint, molien_coefficients
+from .spectra import Spectrum, SumRep, _fingerprints, molien_coefficients
 
 # Most F-value terms, #classes * (2*degree_bound + 1), that fingerprint and
 # certify-pair accept per spectrum.  The largest Table-1 group (N = 29648)
@@ -91,21 +92,22 @@ def _parse_reps(text: str) -> tuple[tuple[int, int], ...]:
     return tuple(pairs)
 
 
-def _check_evaluation_budget(rep: SumRep) -> None:
-    """Refuse, before any F-value is evaluated, a spectrum above EVALUATION_LIMIT."""
+def _check_evaluation_budget(rep: SumRep) -> Spectrum:
+    """The spectrum of rep, refused before any F-value is evaluated if it is
+    above EVALUATION_LIMIT."""
     spectrum = Spectrum.of(rep)
     classes, points = len(spectrum.classes), 2 * spectrum.degree_bound + 1
     if classes * points > EVALUATION_LIMIT:
         raise SizeLimitExceeded(f"{classes} determinant classes x {points} points = "
                                 f"{classes * points} F-value terms exceeds limit {EVALUATION_LIMIT}")
+    return spectrum
 
 
 def _cmd_fingerprint(args, diags) -> CommandResult:
     g = validate_type1(args.m, args.n, _reduce_r(args.m, args.r, diags))
     pairs = _parse_reps(args.reps) if args.reps else ((1, 1),)
     rep = SumRep.from_pairs(g, pairs)
-    _check_evaluation_budget(rep)
-    fp = fingerprint(rep)
+    fp = _fingerprints([_check_evaluation_budget(rep)])[0]
     payload = fp.to_dict()
     if args.kmolien:
         payload = {"fingerprint": payload,
@@ -116,10 +118,10 @@ def _cmd_fingerprint(args, diags) -> CommandResult:
 def _cmd_certify_pair(args, diags) -> CommandResult:
     g1 = validate_type1(args.m, args.n, _reduce_r(args.m, args.r1, diags))
     g2 = validate_type1(args.m, args.n, _reduce_r(args.m, args.r2, diags))
-    for g in (g1, g2):
-        _check_evaluation_budget(SumRep.rho11(g))
+    spectra = {g: _check_evaluation_budget(SumRep.rho11(g)) for g in (g1, g2)}
     try:
-        cert = certify_pair(g1, g2)
+        g1, g2 = _ordered_pair(g1, g2)
+        cert = _certify_spectra(spectra[g1], spectra[g2])
     except CertificationFailed as exc:
         return CommandResult("error", {"refuted": True, "failed_check": exc.check, "detail": exc.detail},
                              diags + [str(exc)])

@@ -37,7 +37,10 @@ from .spectra import (
     SumRep,
     _evaluation_grid,
     almost_conjugate,
+    choose_prime,
     evaluate_f_values,
+    root_of_unity,
+    select_points,
 )
 
 
@@ -147,8 +150,12 @@ def certify_pair(g1: TypeIParams, g2: TypeIParams, rep_pairs=None) -> PairCertif
     """
     g1, g2 = _ordered_pair(g1, g2)
     rep_pairs = rep_pairs or ((1, 1),)
-    s1, s2 = (Spectrum.of(SumRep.from_pairs(g, rep_pairs)) for g in (g1, g2))
-    grid = _evaluation_grid(g1.order, max(s1.degree_bound, s2.degree_bound))
+    return _certify_spectra(*(Spectrum.of(SumRep.from_pairs(g, rep_pairs)) for g in (g1, g2)))
+
+
+def _certify_spectra(s1: Spectrum, s2: Spectrum) -> PairCertificate:
+    """_certify on the pair's own points, each spectrum evaluated there."""
+    grid = _evaluation_grid(s1.rep.group.order, max(s1.degree_bound, s2.degree_bound))
     return _certify(s1, s2, grid, s1.f_values(*grid), s2.f_values(*grid))
 
 
@@ -208,23 +215,31 @@ def _pairs_for_order(N: int) -> list[PairCertificate]:
         # Full-strength bucketing at 2*degree_bound+1 shared points, evaluated
         # lazily: a short point prefix splits off most non-isospectral groups
         # (different F values anywhere prove different spectra), and only
-        # prefix-collisions get the complete vector.  The bucket-wide bound
-        # covers every pair's own bound, so certification reuses the vectors.
+        # prefix-collisions get the complete vector; the full point list is
+        # built only then (select_points is a prefix rule).  The bucket-wide
+        # bound covers every pair's own bound, so certification reuses the
+        # vectors.  F-values depend only on the class multiset, so each
+        # distinct multiset is evaluated once.
         spectra = {g: Spectrum.of(SumRep.rho11(g)) for g in members}
-        grid = _evaluation_grid(N, max(s.degree_bound for s in spectra.values()))
-        p, root, points = grid
-        stage1: dict[tuple, list[TypeIParams]] = {}
+        by_classes: dict[tuple, list[TypeIParams]] = {}
         for g in members:
-            vals = evaluate_f_values(spectra[g].classes, N, p, root, points[:_PREFILTER_POINTS])
-            stage1.setdefault(vals, []).append(g)
+            by_classes.setdefault(spectra[g].classes, []).append(g)
+        count = 2 * max(s.degree_bound for s in spectra.values()) + 1
+        p = choose_prime(N)
+        root = root_of_unity(p, N)
+        prefix = select_points(p, N, min(_PREFILTER_POINTS, count))
+        stage1: dict[tuple, list[tuple]] = {}
+        for classes in by_classes:
+            stage1.setdefault(evaluate_f_values(classes, N, p, root, prefix), []).append(classes)
+        grid = None
         buckets: dict[tuple, list[TypeIParams]] = {}
         for pre in sorted(stage1):
             survivors = stage1[pre]
-            if len(survivors) < 2:
+            if sum(len(by_classes[c]) for c in survivors) < 2:
                 continue
-            for g in survivors:
-                vals = evaluate_f_values(spectra[g].classes, N, p, root, points)
-                buckets.setdefault(vals, []).append(g)
+            grid = grid or (p, root, select_points(p, N, count))
+            for classes in survivors:
+                buckets.setdefault(evaluate_f_values(classes, N, *grid), []).extend(by_classes[classes])
         for values in sorted(buckets):
             mates = buckets[values]  # every mate has these values
             for i in range(len(mates)):

@@ -143,24 +143,34 @@ def _alpha(g: TypeIParams, c: int) -> int:
 def _det_factors(rep: SumRep, a: int, b: int, L: int) -> DetFactors:
     """The factors (e, M) of det(I - rep(A^a B^b) z), 2*gcd(b,d) per summand, sorted."""
     g = rep.group
+    e, terms = _factor_row(rep, b, L)
+    return tuple((e, M) for M in _row_ms(terms, a * _alpha(g, b) % g.m, g.m, L))
+
+
+def _factor_row(rep: SumRep, b: int, L: int) -> tuple[int, list[tuple[int, int]]]:
+    """What the factors of A^a B^b share across a: their cycle length
+    e = d/gcd(b, d), and per factor pair (e, +-M) the terms (kr, w) of
+    M = [u*kr]_m * (L/m) + w, where u = a*alpha(b) mod m is all that a enters."""
+    g = rep.group
     m, n, d = g.m, g.n, g.d
     c = math.gcd(b, d)
-    e = d // c
     nd = n // d
-    alpha = _alpha(g, b)
-    z_unit = L // m
     w_unit = L // nd
-    factors = []
+    terms = []
     for s in rep.summands:
-        y = s.l * (b // c) % nd
-        base = a * s.k * alpha % m
+        w = s.l * (b // c) % nd * w_unit
         rj = 1 % m
         for _ in range(c):
-            M = (base * rj % m * z_unit + y * w_unit) % L
-            factors.append((e, M))
-            factors.append((e, (L - M) % L))
+            terms.append((s.k * rj % m, w))
             rj = rj * g.r % m
-    return tuple(sorted(factors))
+    return d // c, terms
+
+
+def _row_ms(terms, u: int, m: int, L: int) -> list[int]:
+    """The sorted M of the factors (e, M) for u = a*alpha(b) mod m (_factor_row)."""
+    z_unit = L // m
+    ms = [(u * kr % m * z_unit + w) % L for kr, w in terms]
+    return sorted(ms + [(L - M) % L for M in ms])
 
 
 def _factors_to_exponents(factors: DetFactors, L: int) -> tuple[int, ...]:
@@ -343,30 +353,64 @@ def almost_conjugate(rep1: SumRep, rep2: SumRep, bijection=None) -> bool:
         raise GroupMismatch(f"|G1| = {g1.order} != |G2| = {g2.order}")
     if rep1.degree != rep2.degree:
         raise DegreeMismatch(f"degrees {rep1.degree} != {rep2.degree}")
-    if bijection is None:
-        bijection = natural_bijection(g1, g2)
     L = math.lcm(g1.m * g1.n, g2.m * g2.n)
-    for x in g1.elements():
-        f1 = sum_rep_det_factors(rep1, x, L)
-        f2 = sum_rep_det_factors(rep2, bijection(x), L)
-        if f1 != f2 and _factors_to_exponents(f1, L) != _factors_to_exponents(f2, L):
-            return False
-    return True
+    if bijection is None:
+        natural_bijection(g1, g2)  # GroupMismatch unless (m, n) agree
+        pairs = _joint_orbit_factors(rep1, rep2, L)
+    else:
+        pairs = ((sum_rep_det_factors(rep1, x, L), sum_rep_det_factors(rep2, bijection(x), L))
+                 for x in g1.elements())
+    return all(f1 == f2 or _factors_to_exponents(f1, L) == _factors_to_exponents(f2, L)
+               for f1, f2 in pairs)
+
+
+def _joint_orbit_factors(rep1: SumRep, rep2: SumRep, L: int):
+    """(factors under rep1, factors under rep2) of A^a B^b for one a per
+    joint value of (a*alpha1(b), a*alpha2(b)) mod m: that pair repeats in a
+    with period lcm(m/gcd(alpha1(b), m), m/gcd(alpha2(b), m))."""
+    g1, g2 = rep1.group, rep2.group
+    m = g1.m
+    for b in range(g1.n):
+        alpha1, alpha2 = _alpha(g1, b), _alpha(g2, b)
+        (e1, terms1), (e2, terms2) = _factor_row(rep1, b, L), _factor_row(rep2, b, L)
+        for a in range(math.lcm(m // math.gcd(alpha1, m), m // math.gcd(alpha2, m))):
+            yield (tuple((e1, M) for M in _row_ms(terms1, a * alpha1 % m, m, L)),
+                   tuple((e2, M) for M in _row_ms(terms2, a * alpha2 % m, m, L)))
 
 
 # ----------------------------------------------------------------------
 # Determinant classes and the generating function F_G(z) over F_p.
 
 def det_classes(rep: SumRep, L: int | None = None) -> tuple[tuple[DetFactors, int], ...]:
-    """Group elements bucketed by their det(I - gz) factorization, with counts."""
+    """Group elements bucketed by their det(I - gz) factorization, with counts.
+
+    The factors of A^a B^b depend on a only through u = a*alpha(b) mod m.  As
+    a runs over Z/m, u runs over the multiples of h = gcd(alpha(b), m), each
+    h times, and a = 0 .. m/h - 1 reaches each of them once.  Conjugation by
+    B sends A^a B^b to A^(ar) B^b, so u and u*r share their factors: each
+    orbit of u under multiplication by r is computed once.
+    """
     g = rep.group
-    L = L or g.m * g.n
-    counts: dict[DetFactors, int] = {}
-    for a in range(g.m):
-        for b in range(g.n):
-            key = _det_factors(rep, a, b, L)
-            counts[key] = counts.get(key, 0) + 1
-    return tuple(sorted(counts.items()))
+    m = g.m
+    L = L or m * g.n
+    counts: dict[tuple[int, tuple[int, ...]], int] = {}
+    for b in range(g.n):
+        alpha = _alpha(g, b)
+        h = math.gcd(alpha, m)
+        e, terms = _factor_row(rep, b, L)
+        seen = bytearray(m)
+        for a in range(m // h):
+            u = v = a * alpha % m
+            if seen[u]:
+                continue
+            orbit = 0
+            while not seen[v]:
+                seen[v] = 1
+                orbit += 1
+                v = v * g.r % m
+            key = (e, tuple(_row_ms(terms, u, m, L)))
+            counts[key] = counts.get(key, 0) + h * orbit
+    return tuple(sorted((tuple((e, M) for M in ms), count) for (e, ms), count in counts.items()))
 
 
 @dataclass(frozen=True)
@@ -570,10 +614,13 @@ def shared_fingerprints(reps: list[SumRep], p: int | None = None, points=None) -
     orders = {sr.group.m * sr.group.n for sr in reps}
     if len(orders) != 1:
         raise GroupMismatch("shared fingerprints require equal group order")
-    L = orders.pop()
-    spectra = [Spectrum.of(sr) for sr in reps]
+    return _fingerprints([Spectrum.of(sr) for sr in reps], p, points)
+
+
+def _fingerprints(spectra: list[Spectrum], p: int | None = None, points=None) -> list[SpectrumFingerprint]:
+    """shared_fingerprints of spectra already built, of one group order."""
     db = max(s.degree_bound for s in spectra)
-    p, root, points = _evaluation_grid(L, db, p, points)
+    p, root, points = _evaluation_grid(spectra[0].rep.group.order, db, p, points)
     out = []
     for s in spectra:
         g = s.rep.group
@@ -609,7 +656,7 @@ def molien_coefficients(rep: SumRep, truncation: int = DEFAULT_MOLIEN_TRUNCATION
         if p <= coeff_bound:
             raise PrimeTooSmall(f"p = {p} <= dim H_({q},{truncation}) = {coeff_bound}")
     root = root_of_unity(p, L)
-    coeffs = _molien_from_classes(det_classes(rep, L), g.order, truncation, p, root)
+    coeffs = _molien_from_classes(Spectrum.of(rep).classes, g.order, truncation, p, root)
     return MolienSeries(truncation, tuple(coeffs))
 
 

@@ -105,6 +105,43 @@ def test_prebucket_pipeline_matches_naive_all_pairs():
     assert {(c.N, c.m, c.n, c.d, c.r1, c.r2) for c in certs} == {(1360, 85, 16, 8, 2, 42)}
 
 
+def test_pairs_for_order_evaluates_each_class_multiset_once(monkeypatch):
+    from spaceform import search
+
+    evaluated, point_counts = [], []
+
+    def count_evaluations(classes, N, p, root, points):
+        evaluated.append((classes, len(points)))
+        return evaluate_f_values(classes, N, p, root, points)
+
+    def count_points(p, L, count):
+        point_counts.append(count)
+        return select_points(p, L, count)
+
+    monkeypatch.setattr(search, "evaluate_f_values", count_evaluations)
+    monkeypatch.setattr(search, "select_points", count_points)
+    buckets = {}
+    for g in enumerate_canonical(1360):
+        buckets.setdefault(audible_invariants(g), []).append(g)
+    distinct = {Spectrum.of(SumRep.rho11(g)).classes
+                for members in buckets.values() if len(members) > 1 for g in members}
+    certs = search._pairs_for_order(1360)
+    assert [(c.r1, c.r2) for c in certs] == [(2, 42)]
+    prefilter = [classes for classes, count in evaluated if count <= 16]
+    full = [classes for classes, count in evaluated if count > 16]
+    assert len(prefilter) == len(set(prefilter)) and set(prefilter) == distinct
+    # 2 and 42 share one class multiset: one full evaluation serves the pair.
+    assert full == [Spectrum.of(SumRep.rho11(validate_type1(85, 16, 2))).classes]
+    assert full == [Spectrum.of(SumRep.rho11(validate_type1(85, 16, 42))).classes]
+    assert len([count for count in point_counts if count > 16]) == 1
+    # No prefilter collision at 520: no full-length point list is built.
+    evaluated.clear()
+    point_counts.clear()
+    assert search._pairs_for_order(520) == []
+    assert point_counts and all(count <= 16 for count in point_counts)
+    assert evaluated and all(count <= 16 for _, count in evaluated)
+
+
 def test_run_search_below_smallest_pair():
     assert run_search(SearchConfig(n_max=1000)) == []
 

@@ -16,6 +16,7 @@ from spaceform.spectra import (
     RepParams,
     Spectrum,
     SumRep,
+    _alpha,
     _class_field_data,
     _evaluate_sum,
     _molien_from_classes,
@@ -28,6 +29,7 @@ from spaceform.spectra import (
     fingerprint,
     isometric_irreducible,
     molien_coefficients,
+    natural_bijection,
     poly_from_exponents,
     reps_equivalent,
     root_of_unity,
@@ -35,6 +37,8 @@ from spaceform.spectra import (
     shared_fingerprints,
     sum_rep_det_factors,
 )
+
+from table1 import TABLE1_ROWS
 
 G85 = validate_type1(85, 16, 2)
 G85B = validate_type1(85, 16, 42)
@@ -250,6 +254,21 @@ def test_almost_conjugate_general_sums_for_theorem_pair():
     sr1 = SumRep.from_pairs(G85, pairs)
     sr2 = SumRep.from_pairs(G85B, pairs)
     assert almost_conjugate(sr1, sr2)
+    assert almost_conjugate(sr1, sr2, bijection=natural_bijection(G85, G85B))
+
+
+def test_almost_conjugate_orbit_walk_matches_element_walk():
+    # The natural bijection walks one a per joint (a*alpha1(b), a*alpha2(b))
+    # orbit; an explicit bijection walks every element.  Both agree on the
+    # Table-1 pairs up to 3600 and on same-(m, n, d) non-isospectral groups.
+    cases = [(validate_type1(m, n, r1), validate_type1(m, n, r2), True)
+             for N, m, n, d, r1, r2 in TABLE1_ROWS if N <= 3600]
+    cases += [(G85, validate_type1(85, 16, 9), False), (G85B, validate_type1(85, 16, 9), False),
+              (validate_type1(221, 16, 8), validate_type1(221, 16, 25), False)]
+    for g1, g2, expected in cases:
+        rep1, rep2 = SumRep.rho11(g1), SumRep.rho11(g2)
+        assert almost_conjugate(rep1, rep2) is expected
+        assert almost_conjugate(rep1, rep2, bijection=natural_bijection(g1, g2)) is expected
 
 
 # --- fingerprints -------------------------------------------------------
@@ -412,6 +431,55 @@ def test_det_classes_partition_group(valid_pool_2000):
         assert sum(c for _, c in spectrum.classes) == g.order
         assert spectrum.degree_bound == 2 + len(spectrum.classes) * rep.degree
         assert all(len({e for e, _ in factors}) == 1 for factors, _ in spectrum.classes)
+
+
+def element_walk_det_classes(rep):
+    """Test oracle: the determinant classes from every one of the m*n
+    elements, each element's factors computed from (a, b) directly."""
+    g = rep.group
+    m, n, d = g.m, g.n, g.d
+    L = m * n
+    counts = {}
+    for a in range(m):
+        for b in range(n):
+            c = math.gcd(b, d)
+            e, nd = d // c, n // d
+            alpha = _alpha(g, b)
+            factors = []
+            for s in rep.summands:
+                y = s.l * (b // c) % nd
+                base = a * s.k * alpha % m
+                rj = 1 % m
+                for _ in range(c):
+                    M = (base * rj % m * (L // m) + y * (L // nd)) % L
+                    factors += [(e, M), (e, (L - M) % L)]
+                    rj = rj * g.r % m
+            key = tuple(sorted(factors))
+            counts[key] = counts.get(key, 0) + 1
+    return tuple(sorted(counts.items()))
+
+
+def test_det_classes_match_element_walk_on_pool(fpf_pool_2000):
+    # A seeded sample of the pool (the whole pool takes about half a minute),
+    # every m = 1 group in it, and three-summand sums.
+    rng = random.Random(71)
+    sample = rng.sample(fpf_pool_2000, 150)
+    sample += [g for g in fpf_pool_2000 if g.m == 1 and g not in sample][::10]
+    reps = [SumRep.rho11(g) for g in sample]
+    for g in rng.sample(fpf_pool_2000, 40):
+        ks = [k for k in range(1, g.m + 1) if math.gcd(k, g.m) == 1]
+        ls = [l for l in range(1, g.n + 1) if math.gcd(l, g.n) == 1]
+        reps.append(SumRep.from_pairs(g, [(rng.choice(ks), rng.choice(ls)) for _ in range(3)]))
+    assert any(rep.group.m == 1 for rep in reps)
+    for rep in reps:
+        assert det_classes(rep) == element_walk_det_classes(rep), rep
+
+
+def test_det_classes_match_element_walk_on_table1():
+    groups = {validate_type1(m, n, r) for N, m, n, d, r1, r2 in TABLE1_ROWS if N <= 8000 for r in (r1, r2)}
+    assert len(groups) == 20
+    for g in groups:
+        assert det_classes(SumRep.rho11(g)) == element_walk_det_classes(SumRep.rho11(g)), g
 
 
 def test_det_factors_consistent_with_exponents():
