@@ -24,16 +24,15 @@ from .groups import (
 )
 from .search import (
     SearchConfig,
-    _certify_spectra,
-    _ordered_pair,
+    certify_pair,
     construct_theorem42_pairs,
     crosscheck_table,
     run_search,
     write_results,
 )
-from .spectra import Spectrum, SumRep, _fingerprints, molien_coefficients
+from .spectra import Spectrum, SumRep, fingerprint, molien_coefficients
 
-# Most F-value terms, #classes * (2*degree_bound + 1), that fingerprint and
+# Most F-value terms, #classes * Spectrum.point_count, that fingerprint and
 # certify-pair accept per spectrum.  The largest Table-1 group (N = 29648)
 # needs 2,997,882; the cost grows with the square of the class count.
 EVALUATION_LIMIT = 10_000_000
@@ -85,30 +84,39 @@ def _cmd_isomorphic(args, diags) -> CommandResult:
 
 
 def _parse_reps(text: str) -> tuple[tuple[int, int], ...]:
-    pairs = []
-    for chunk in text.split(";"):
-        k, l = chunk.split(",")
-        pairs.append((int(k), int(l)))
-    return tuple(pairs)
+    """An argparse type: "k1,l1;k2,l2;..." as ((k1, l1), (k2, l2), ...)."""
+    try:
+        pairs = [chunk.split(",") for chunk in text.split(";")]
+        return tuple((int(k), int(l)) for k, l in pairs)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f'{text!r} is not of the form "k1,l1;k2,l2;..."') from None
 
 
-def _check_evaluation_budget(rep: SumRep) -> Spectrum:
-    """The spectrum of rep, refused before any F-value is evaluated if it is
-    above EVALUATION_LIMIT."""
+def _int_at_least(low: int):
+    """An argparse type: an integer >= low."""
+    def integer(text: str) -> int:
+        value = int(text)  # argparse reports a ValueError as "invalid integer value"
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{value} is below {low}")
+        return value
+    return integer
+
+
+def _check_evaluation_budget(rep: SumRep) -> None:
+    """Refuse rep before any F-value is evaluated if its spectrum is above
+    EVALUATION_LIMIT."""
     spectrum = Spectrum.of(rep)
-    classes, points = len(spectrum.classes), 2 * spectrum.degree_bound + 1
+    classes, points = len(spectrum.classes), spectrum.point_count
     if classes * points > EVALUATION_LIMIT:
         raise SizeLimitExceeded(f"{classes} determinant classes x {points} points = "
                                 f"{classes * points} F-value terms exceeds limit {EVALUATION_LIMIT}")
-    return spectrum
 
 
 def _cmd_fingerprint(args, diags) -> CommandResult:
     g = validate_type1(args.m, args.n, _reduce_r(args.m, args.r, diags))
-    pairs = _parse_reps(args.reps) if args.reps else ((1, 1),)
-    rep = SumRep.from_pairs(g, pairs)
-    fp = _fingerprints([_check_evaluation_budget(rep)])[0]
-    payload = fp.to_dict()
+    rep = SumRep.from_pairs(g, args.reps)
+    _check_evaluation_budget(rep)
+    payload = fingerprint(rep).to_dict()
     if args.kmolien:
         payload = {"fingerprint": payload,
                    "molien": list(molien_coefficients(rep, args.kmolien).coefficients)}
@@ -118,10 +126,10 @@ def _cmd_fingerprint(args, diags) -> CommandResult:
 def _cmd_certify_pair(args, diags) -> CommandResult:
     g1 = validate_type1(args.m, args.n, _reduce_r(args.m, args.r1, diags))
     g2 = validate_type1(args.m, args.n, _reduce_r(args.m, args.r2, diags))
-    spectra = {g: _check_evaluation_budget(SumRep.rho11(g)) for g in (g1, g2)}
+    for g in (g1, g2):
+        _check_evaluation_budget(SumRep.rho11(g))
     try:
-        g1, g2 = _ordered_pair(g1, g2)
-        cert = _certify_spectra(spectra[g1], spectra[g2])
+        cert = certify_pair(g1, g2)
     except CertificationFailed as exc:
         return CommandResult("error", {"refuted": True, "failed_check": exc.check, "detail": exc.detail},
                              diags + [str(exc)])
@@ -135,30 +143,24 @@ def _cmd_certify_pair(args, diags) -> CommandResult:
     return CommandResult("ok", cert.to_dict(), diags)
 
 
+def _pairs_result(certs, out, diags, **header) -> CommandResult:
+    """The pair table of a search or construction, noting where it was written."""
+    if out:
+        diags.append(f"wrote {len(certs)} certificates and pairs.csv to {out}")
+    rows = [[c.N, c.m, c.n, c.d, c.r1, c.r2] for c in certs]
+    return CommandResult("ok", {**header, "pair_count": len(certs), "rows": rows}, diags)
+
+
 def _cmd_search(args, diags) -> CommandResult:
-    cfg = SearchConfig(n_max=args.nmax, jobs=args.jobs, output_path=args.out)
-    certs = run_search(cfg)
-    if args.out:
-        diags.append(f"wrote {len(certs)} certificates and pairs.csv to {args.out}")
-    payload = {
-        "n_max": args.nmax,
-        "pair_count": len(certs),
-        "rows": [[c.N, c.m, c.n, c.d, c.r1, c.r2] for c in certs],
-    }
-    return CommandResult("ok", payload, diags)
+    certs = run_search(SearchConfig(n_max=args.nmax, jobs=args.jobs, output_path=args.out))
+    return _pairs_result(certs, args.out, diags, n_max=args.nmax)
 
 
 def _cmd_construct(args, diags) -> CommandResult:
     certs = construct_theorem42_pairs(args.mmax)
     if args.out:
         write_results(args.out, certs)
-        diags.append(f"wrote {len(certs)} certificates and pairs.csv to {args.out}")
-    payload = {
-        "m_max": args.mmax,
-        "pair_count": len(certs),
-        "rows": [[c.N, c.m, c.n, c.d, c.r1, c.r2] for c in certs],
-    }
-    return CommandResult("ok", payload, diags)
+    return _pairs_result(certs, args.out, diags, m_max=args.mmax)
 
 
 def _cmd_crosscheck(args, diags) -> CommandResult:
@@ -172,39 +174,36 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact isospectrality engine for Type I spherical space forms",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    positive, nonnegative = _int_at_least(1), _int_at_least(0)
 
-    def add(name, handler, help_):
+    def add(name, handler, help_, rs=()):
+        """A subcommand; with rs, it takes the positionals m, n and then rs."""
         sp = sub.add_parser(name, help=help_)
         sp.set_defaults(handler=handler)
         sp.add_argument("--json", action="store_true", help="compact canonical JSON output")
+        if rs:
+            sp.add_argument("m", type=positive)
+            sp.add_argument("n", type=positive)
+        for arg in rs:
+            sp.add_argument(arg, type=int)
         return sp
 
-    sp = add("validate", _cmd_validate, "validate (m, n, r) and report d, fixed-point-freeness")
-    for arg in ("m", "n", "r"):
-        sp.add_argument(arg, type=int)
+    add("validate", _cmd_validate, "validate (m, n, r) and report d, fixed-point-freeness", ("r",))
+    add("isomorphic", _cmd_isomorphic, "isomorphism test for two groups with equal (m, n)", ("r1", "r2"))
 
-    sp = add("orders", _cmd_orders, "set of element orders, optionally with brute-force check")
-    for arg in ("m", "n", "r"):
-        sp.add_argument(arg, type=int)
+    sp = add("orders", _cmd_orders, "set of element orders, optionally with brute-force check", ("r",))
     sp.add_argument("--brute", action="store_true")
 
-    sp = add("isomorphic", _cmd_isomorphic, "isomorphism test for two groups with equal (m, n)")
-    for arg in ("m", "n", "r1", "r2"):
-        sp.add_argument(arg, type=int)
+    sp = add("fingerprint", _cmd_fingerprint, "deterministic F_G(z) evaluation record", ("r",))
+    sp.add_argument("--reps", type=_parse_reps, default=((1, 1),),
+                    help='summands "k1,l1;k2,l2;..." (default 1,1)')
+    sp.add_argument("--kmolien", type=nonnegative, default=0, help="also emit Molien coefficients up to K")
 
-    sp = add("fingerprint", _cmd_fingerprint, "deterministic F_G(z) evaluation record")
-    for arg in ("m", "n", "r"):
-        sp.add_argument(arg, type=int)
-    sp.add_argument("--reps", type=str, default="", help='summands "k1,l1;k2,l2;..." (default 1,1)')
-    sp.add_argument("--kmolien", type=int, default=0, help="also emit Molien coefficients up to K")
-
-    sp = add("certify-pair", _cmd_certify_pair, "full certificate or refutation for a pair")
-    for arg in ("m", "n", "r1", "r2"):
-        sp.add_argument(arg, type=int)
-    sp.add_argument("--kmolien", type=int, default=0, help="extra Molien agreement check up to K")
+    sp = add("certify-pair", _cmd_certify_pair, "full certificate or refutation for a pair", ("r1", "r2"))
+    sp.add_argument("--kmolien", type=nonnegative, default=0, help="extra Molien agreement check up to K")
 
     sp = add("search", _cmd_search, "find all isospectral non-isomorphic pairs with N <= nmax")
-    sp.add_argument("--nmax", type=int, required=True)
+    sp.add_argument("--nmax", type=positive, required=True)
     sp.add_argument("--out", type=str, default=None, help="directory for pairs.csv + certificates")
     sp.add_argument("--jobs", type=int, default=1)
 
@@ -213,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", type=str, default=None)
 
     sp = add("crosscheck", _cmd_crosscheck, "flag every found pair with Theorem-4.2 applicability")
-    sp.add_argument("--nmax", type=int, required=True)
+    sp.add_argument("--nmax", type=positive, required=True)
     sp.add_argument("--jobs", type=int, default=1)
 
     return parser

@@ -9,7 +9,7 @@ Pipeline per order N:
   3. fingerprint multi-member buckets on shared points and refine by the
      exact value vectors;
   4. certify every unordered pair inside a refined bucket (non-isomorphism,
-     fingerprint equality at 2*degree_bound+1 points, almost-conjugacy).
+     fingerprint equality at Spectrum.point_count points, almost-conjugacy).
 """
 
 from __future__ import annotations
@@ -37,10 +37,7 @@ from .spectra import (
     SumRep,
     _evaluation_grid,
     almost_conjugate,
-    choose_prime,
     evaluate_f_values,
-    root_of_unity,
-    select_points,
 )
 
 
@@ -150,13 +147,12 @@ def certify_pair(g1: TypeIParams, g2: TypeIParams, rep_pairs=None) -> PairCertif
     """
     g1, g2 = _ordered_pair(g1, g2)
     rep_pairs = rep_pairs or ((1, 1),)
-    return _certify_spectra(*(Spectrum.of(SumRep.from_pairs(g, rep_pairs)) for g in (g1, g2)))
-
-
-def _certify_spectra(s1: Spectrum, s2: Spectrum) -> PairCertificate:
-    """_certify on the pair's own points, each spectrum evaluated there."""
-    grid = _evaluation_grid(s1.rep.group.order, max(s1.degree_bound, s2.degree_bound))
-    return _certify(s1, s2, grid, s1.f_values(*grid), s2.f_values(*grid))
+    s1, s2 = (Spectrum.of(SumRep.from_pairs(g, rep_pairs)) for g in (g1, g2))
+    grid = _evaluation_grid(g1.order, max(s1.point_count, s2.point_count))
+    values = s1.f_values(*grid)
+    if s2.f_values(*grid) != values:
+        raise CertificationFailed("fingerprint", "value vectors differ")
+    return _certify(s1, s2, grid, values)
 
 
 def _ordered_pair(g1: TypeIParams, g2: TypeIParams) -> tuple[TypeIParams, TypeIParams]:
@@ -172,24 +168,21 @@ def _ordered_pair(g1: TypeIParams, g2: TypeIParams) -> tuple[TypeIParams, TypeIP
     return g1, g2
 
 
-def _certify(s1: Spectrum, s2: Spectrum, grid, values1, values2) -> PairCertificate:
-    """The fingerprint and almost-conjugacy checks on an ordered pair that
-    passed _ordered_pair, and its certificate.
+def _certify(s1: Spectrum, s2: Spectrum, grid, values) -> PairCertificate:
+    """The almost-conjugacy check on an ordered pair that passed
+    _ordered_pair and shares the F-values `values` on grid, and its certificate.
 
-    grid = (p, root, points) and the F-values may run past the pair's own
-    2*degree_bound+1 points: select_points is a prefix rule, so the pair's
-    points and values are the first entries.
+    grid = (p, root, points) and the values may run past the pair's own
+    point count: select_points is a prefix rule, so the pair's points and
+    values are the first entries.
     """
     g1, g2 = s1.rep.group, s2.rep.group
-    db = max(s1.degree_bound, s2.degree_bound)
-    count = 2 * db + 1
+    count = max(s1.point_count, s2.point_count)
     p, root, points = grid
-    if values1[:count] != values2[:count]:
-        raise CertificationFailed("fingerprint", "value vectors differ")
     if not almost_conjugate(s1.rep, s2.rep):
         raise CertificationFailed("almost_conjugacy", "natural bijection does not match eigenvalues")
-    fp = SpectrumFingerprint(g1.m, g1.n, g1.d, g1.r, s1.rep.pairs, p, root, db,
-                             points[:count], values1[:count])
+    fp = SpectrumFingerprint(g1.m, g1.n, g1.d, g1.r, s1.rep.pairs, p, root,
+                             max(s1.degree_bound, s2.degree_bound), points[:count], values[:count])
     applicable, witness = theorem42_applicable(g1, g2)
     return PairCertificate(
         N=g1.order, m=g1.m, n=g1.n, d=g1.d, r1=g1.r, r2=g2.r,
@@ -212,7 +205,7 @@ def _pairs_for_order(N: int) -> list[PairCertificate]:
         members = prebuckets[key]
         if len(members) < 2:
             continue
-        # Full-strength bucketing at 2*degree_bound+1 shared points, evaluated
+        # Full-strength bucketing at the bucket's largest point count, evaluated
         # lazily: a short point prefix splits off most non-isospectral groups
         # (different F values anywhere prove different spectra), and only
         # prefix-collisions get the complete vector; the full point list is
@@ -224,10 +217,8 @@ def _pairs_for_order(N: int) -> list[PairCertificate]:
         by_classes: dict[tuple, list[TypeIParams]] = {}
         for g in members:
             by_classes.setdefault(spectra[g].classes, []).append(g)
-        count = 2 * max(s.degree_bound for s in spectra.values()) + 1
-        p = choose_prime(N)
-        root = root_of_unity(p, N)
-        prefix = select_points(p, N, min(_PREFILTER_POINTS, count))
+        count = max(s.point_count for s in spectra.values())
+        p, root, prefix = _evaluation_grid(N, min(_PREFILTER_POINTS, count))
         stage1: dict[tuple, list[tuple]] = {}
         for classes in by_classes:
             stage1.setdefault(evaluate_f_values(classes, N, p, root, prefix), []).append(classes)
@@ -237,7 +228,7 @@ def _pairs_for_order(N: int) -> list[PairCertificate]:
             survivors = stage1[pre]
             if sum(len(by_classes[c]) for c in survivors) < 2:
                 continue
-            grid = grid or (p, root, select_points(p, N, count))
+            grid = grid or _evaluation_grid(N, count, p)
             for classes in survivors:
                 buckets.setdefault(evaluate_f_values(classes, N, *grid), []).extend(by_classes[classes])
         for values in sorted(buckets):
@@ -245,7 +236,7 @@ def _pairs_for_order(N: int) -> list[PairCertificate]:
             for i in range(len(mates)):
                 for j in range(i + 1, len(mates)):
                     g1, g2 = _ordered_pair(mates[i], mates[j])
-                    certs.append(_certify(spectra[g1], spectra[g2], grid, values, values))
+                    certs.append(_certify(spectra[g1], spectra[g2], grid, values))
     return certs
 
 

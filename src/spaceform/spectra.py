@@ -185,20 +185,18 @@ def _factors_to_exponents(factors: DetFactors, L: int) -> tuple[int, ...]:
     return tuple(sorted(exps))
 
 
-def sum_rep_det_factors(rep: SumRep, x: GroupElement, L: int | None = None) -> DetFactors:
+def sum_rep_det_factors(rep: SumRep, x: GroupElement) -> DetFactors:
+    """The factors (e, M) of det(I - rep(x) z), M an exponent of zeta_L, L = m*n."""
     g = rep.group
     if x.group != g:
         raise GroupMismatch(f"{x.group} vs {g}")
-    L = L or g.m * g.n
-    if L % (g.m * g.n):
-        raise ValueError(f"modulus {L} must be a multiple of m*n = {g.m * g.n}")
-    return _det_factors(rep, x.a, x.b, L)
+    return _det_factors(rep, x.a, x.b, g.order)
 
 
-def char_poly_exponents(rep: RepParams, x: GroupElement, modulus: int | None = None) -> EigenExponentMultiset:
-    """Eigenvalue exponents of rho_{k,l}(A^a B^b) as exponents of zeta_L."""
-    L = modulus or rep.group.m * rep.group.n
-    factors = sum_rep_det_factors(SumRep((rep,)), x, L)
+def char_poly_exponents(rep: RepParams, x: GroupElement) -> EigenExponentMultiset:
+    """Eigenvalue exponents of rho_{k,l}(A^a B^b) as exponents of zeta_L, L = m*n."""
+    L = rep.group.order
+    factors = sum_rep_det_factors(SumRep((rep,)), x)
     return EigenExponentMultiset(L, _factors_to_exponents(factors, L))
 
 
@@ -353,12 +351,12 @@ def almost_conjugate(rep1: SumRep, rep2: SumRep, bijection=None) -> bool:
         raise GroupMismatch(f"|G1| = {g1.order} != |G2| = {g2.order}")
     if rep1.degree != rep2.degree:
         raise DegreeMismatch(f"degrees {rep1.degree} != {rep2.degree}")
-    L = math.lcm(g1.m * g1.n, g2.m * g2.n)
+    L = g1.order
     if bijection is None:
         natural_bijection(g1, g2)  # GroupMismatch unless (m, n) agree
         pairs = _joint_orbit_factors(rep1, rep2, L)
     else:
-        pairs = ((sum_rep_det_factors(rep1, x, L), sum_rep_det_factors(rep2, bijection(x), L))
+        pairs = ((sum_rep_det_factors(rep1, x), sum_rep_det_factors(rep2, bijection(x)))
                  for x in g1.elements())
     return all(f1 == f2 or _factors_to_exponents(f1, L) == _factors_to_exponents(f2, L)
                for f1, f2 in pairs)
@@ -381,7 +379,7 @@ def _joint_orbit_factors(rep1: SumRep, rep2: SumRep, L: int):
 # ----------------------------------------------------------------------
 # Determinant classes and the generating function F_G(z) over F_p.
 
-def det_classes(rep: SumRep, L: int | None = None) -> tuple[tuple[DetFactors, int], ...]:
+def det_classes(rep: SumRep) -> tuple[tuple[DetFactors, int], ...]:
     """Group elements bucketed by their det(I - gz) factorization, with counts.
 
     The factors of A^a B^b depend on a only through u = a*alpha(b) mod m.  As
@@ -391,8 +389,7 @@ def det_classes(rep: SumRep, L: int | None = None) -> tuple[tuple[DetFactors, in
     orbit of u under multiplication by r is computed once.
     """
     g = rep.group
-    m = g.m
-    L = L or m * g.n
+    m, L = g.m, g.order
     counts: dict[tuple[int, tuple[int, ...]], int] = {}
     for b in range(g.n):
         alpha = _alpha(g, b)
@@ -419,7 +416,8 @@ class Spectrum:
     degree bound of F_G over them: all that F-values and certificates need.
 
     The bound is on numerator and denominator degree of F_G over the product
-    of the distinct determinant polynomials: 2 + (#classes) * (2dp).
+    of the distinct determinant polynomials: 2 + (#classes) * (2dp).  Equal
+    F-values at point_count = 2*degree_bound + 1 points prove equal F_G.
     """
 
     rep: SumRep
@@ -430,6 +428,10 @@ class Spectrum:
     def of(cls, rep: SumRep) -> "Spectrum":
         classes = det_classes(rep)
         return cls(rep, classes, 2 + len(classes) * rep.degree)
+
+    @property
+    def point_count(self) -> int:
+        return 2 * self.degree_bound + 1
 
     def f_values(self, p: int, root: int, points) -> tuple[int, ...]:
         return evaluate_f_values(self.classes, self.rep.group.order, p, root, points)
@@ -486,16 +488,14 @@ def select_points(p: int, L: int, count: int) -> tuple[int, ...]:
     return tuple(points)
 
 
-def _evaluation_grid(L: int, db: int, p: int | None = None, points=None):
-    """The shared (p, root, points): the default prime for L unless p is
-    given, its deterministic L-th root, and the first 2*db+1 points unless
-    points are given."""
+def _evaluation_grid(L: int, count: int, p: int | None = None):
+    """The (p, root, points) of every F-evaluation at order L: the default
+    prime for L unless p is given, its deterministic L-th root, and the first
+    count points."""
     if p is None:
         p = choose_prime(L)
-    elif (p - 1) % L:
-        raise BadPrime(f"L = {L} does not divide p-1 = {p - 1}")
-    points = select_points(p, L, 2 * db + 1) if points is None else tuple(points)
-    return p, root_of_unity(p, L), points
+    root = root_of_unity(p, L)
+    return p, root, select_points(p, L, count)
 
 
 def _class_field_data(classes, p: int, root: int):
@@ -581,31 +581,22 @@ class SpectrumFingerprint:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":")).encode()
 
     def evidence_dict(self) -> dict:
-        """Group-independent part shared by both members of an isospectral pair."""
-        shared = {
-            "m": self.m, "n": self.n, "d": self.d,
-            "reps": [list(kl) for kl in self.reps],
-            "p": self.p, "root": self.root, "degree_bound": self.degree_bound,
-            "points": list(self.points), "values": list(self.values),
-        }
+        """Group-independent part shared by both members of an isospectral pair:
+        to_dict() without r, the points and values replaced by their sha256."""
+        shared = self.to_dict()
+        del shared["r"]
         blob = json.dumps(shared, sort_keys=True, separators=(",", ":")).encode()
-        return {
-            "m": self.m, "n": self.n, "d": self.d,
-            "reps": [list(kl) for kl in self.reps],
-            "p": self.p, "root": self.root, "degree_bound": self.degree_bound,
-            "num_points": len(self.points),
-            "sha256": hashlib.sha256(blob).hexdigest(),
-            "values_preview": list(self.values[:4]),
-        }
+        points, values = shared.pop("points"), shared.pop("values")
+        return {**shared, "num_points": len(points), "sha256": hashlib.sha256(blob).hexdigest(),
+                "values_preview": values[:4]}
 
 
-def fingerprint(rep: SumRep, p: int | None = None, points=None) -> SpectrumFingerprint:
+def fingerprint(rep: SumRep, p: int | None = None) -> SpectrumFingerprint:
     """Evaluate F_G at deterministic points; see select_points for the rule."""
-    fps = shared_fingerprints([rep], p=p, points=points)
-    return fps[0]
+    return shared_fingerprints([rep], p)[0]
 
 
-def shared_fingerprints(reps: list[SumRep], p: int | None = None, points=None) -> list[SpectrumFingerprint]:
+def shared_fingerprints(reps: list[SumRep], p: int | None = None) -> list[SpectrumFingerprint]:
     """Fingerprints of several same-order groups on one shared (p, root, points).
 
     The shared degree bound is the max of the per-group bounds, so equality of
@@ -614,13 +605,9 @@ def shared_fingerprints(reps: list[SumRep], p: int | None = None, points=None) -
     orders = {sr.group.m * sr.group.n for sr in reps}
     if len(orders) != 1:
         raise GroupMismatch("shared fingerprints require equal group order")
-    return _fingerprints([Spectrum.of(sr) for sr in reps], p, points)
-
-
-def _fingerprints(spectra: list[Spectrum], p: int | None = None, points=None) -> list[SpectrumFingerprint]:
-    """shared_fingerprints of spectra already built, of one group order."""
+    spectra = [Spectrum.of(sr) for sr in reps]
     db = max(s.degree_bound for s in spectra)
-    p, root, points = _evaluation_grid(spectra[0].rep.group.order, db, p, points)
+    p, root, points = _evaluation_grid(reps[0].group.order, max(s.point_count for s in spectra), p)
     out = []
     for s in spectra:
         g = s.rep.group
@@ -650,12 +637,9 @@ def molien_coefficients(rep: SumRep, truncation: int = DEFAULT_MOLIEN_TRUNCATION
     coeff_bound = max(harmonic_dim(q, k) for k in range(truncation + 1))
     if p is None:
         p = choose_prime(L, max(DEFAULT_PRIME_FLOOR, coeff_bound))
-    else:
-        if (p - 1) % L:
-            raise BadPrime(f"L = {L} does not divide p-1 = {p - 1}")
-        if p <= coeff_bound:
-            raise PrimeTooSmall(f"p = {p} <= dim H_({q},{truncation}) = {coeff_bound}")
     root = root_of_unity(p, L)
+    if p <= coeff_bound:
+        raise PrimeTooSmall(f"p = {p} <= dim H_({q},{truncation}) = {coeff_bound}")
     coeffs = _molien_from_classes(Spectrum.of(rep).classes, g.order, truncation, p, root)
     return MolienSeries(truncation, tuple(coeffs))
 

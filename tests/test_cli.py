@@ -1,9 +1,14 @@
+import ast
 import hashlib
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
+import pytest
+
+import spaceform.cli
 from spaceform.cli import _check_evaluation_budget
 from spaceform.groups import validate_type1
 from spaceform.spectra import SumRep
@@ -148,3 +153,24 @@ def test_prime_seed_env_overrides_policy():
 
 def test_usage_error_exit_2():
     run_cli("search", expect_code=2)
+
+
+@pytest.mark.parametrize("args", [
+    ("fingerprint", "85", "16", "2", "--reps", "1"),
+    ("fingerprint", "85", "16", "2", "--reps", "a,b"),
+    ("validate", "0", "4", "1"),
+    ("search", "--nmax", "0"),
+    ("fingerprint", "85", "16", "2", "--kmolien", "-1"),
+    ("certify-pair", "85", "16", "2", "42", "--kmolien", "-3"),
+])
+def test_malformed_input_is_a_usage_error(args):
+    proc = run_cli(*args, expect_code=2)
+    assert "Traceback" not in proc.stderr and "usage:" in proc.stderr
+
+
+def test_cli_imports_only_public_names():
+    tree = ast.parse(Path(spaceform.cli.__file__).read_text())
+    private = [alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+               and (node.level or (node.module or "").startswith("spaceform"))
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []

@@ -106,7 +106,7 @@ def test_prebucket_pipeline_matches_naive_all_pairs():
 
 
 def test_pairs_for_order_evaluates_each_class_multiset_once(monkeypatch):
-    from spaceform import search
+    from spaceform import search, spectra
 
     evaluated, point_counts = [], []
 
@@ -119,7 +119,7 @@ def test_pairs_for_order_evaluates_each_class_multiset_once(monkeypatch):
         return select_points(p, L, count)
 
     monkeypatch.setattr(search, "evaluate_f_values", count_evaluations)
-    monkeypatch.setattr(search, "select_points", count_points)
+    monkeypatch.setattr(spectra, "select_points", count_points)
     buckets = {}
     for g in enumerate_canonical(1360):
         buckets.setdefault(audible_invariants(g), []).append(g)
@@ -187,8 +187,8 @@ def test_certify_pair_search_consistency():
     # Values on a longer point list than the pair's own, as a bucket-wide
     # degree bound gives, certify to the same bytes.
     s1, s2 = (Spectrum.of(SumRep.rho11(validate_type1(85, 16, r))) for r in (2, 42))
-    grid = _evaluation_grid(1360, s1.degree_bound + 25)
-    longer = _certify(s1, s2, grid, s1.f_values(*grid), s2.f_values(*grid))
+    grid = _evaluation_grid(1360, s1.point_count + 50)
+    longer = _certify(s1, s2, grid, s1.f_values(*grid))
     assert len(grid[2]) > 2 * s1.degree_bound + 1
     assert longer.canonical_bytes() == certs[0].canonical_bytes()
 

@@ -318,7 +318,7 @@ def test_fingerprint_root_choice_does_not_change_values():
     # Galois invariance: the group sum is a rational number, so any primitive
     # root embedding gives the same field values.
     sr = SumRep.rho11(G54)
-    classes = det_classes(sr, 20)
+    classes = det_classes(sr)
     p = choose_prime(20)
     root = root_of_unity(p, 20)
     alt = pow(root, 3, p)  # gcd(3, 20) = 1
@@ -332,7 +332,7 @@ def test_evaluation_order_invariance():
     p = choose_prime(20)
     root = root_of_unity(p, 20)
     points = select_points(p, 20, 10)
-    data = _class_field_data(det_classes(sr, 20), p, root)
+    data = _class_field_data(det_classes(sr), p, root)
     assert _evaluate_sum(data, 20, p, points) == _evaluate_sum(data[::-1], 20, p, points)
 
 
@@ -342,7 +342,7 @@ def test_singular_point_raises():
     root = root_of_unity(p, 20)
     bad = pow(root, 20 - 5, p)  # inverse of the eigenvalue zeta^5 of B
     with pytest.raises(SingularPoint):
-        evaluate_f_values(det_classes(sr, 20), 20, p, root, (bad,))
+        evaluate_f_values(det_classes(sr), 20, p, root, (bad,))
 
 
 def test_shared_fingerprints_requires_equal_order():
