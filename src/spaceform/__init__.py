@@ -12,6 +12,7 @@ from .errors import (
     InvalidRepresentation,
     NotFixedPointFree,
     OrderViolation,
+    ParameterOutOfRange,
     PrimeTooSmall,
     SingularPoint,
     SizeLimitExceeded,
@@ -50,7 +51,6 @@ from .spectra import (
     SumRep,
     almost_conjugate,
     char_poly_exponents,
-    char_poly_matrix_oracle,
     fingerprint,
     isometric_irreducible,
     molien_coefficients,

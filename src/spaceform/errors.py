@@ -34,6 +34,10 @@ class NotFixedPointFree(SpaceformError):
     """Operation requires a fixed-point-free group."""
 
 
+class ParameterOutOfRange(SpaceformError):
+    """A size parameter is out of its range: m or n below 1, or n_max below 1."""
+
+
 class SizeLimitExceeded(SpaceformError):
     """Input refused: its brute-force or evaluation size is above a fixed limit."""
 

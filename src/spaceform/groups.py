@@ -19,6 +19,7 @@ from .errors import (
     InvalidAutomorphism,
     NotFixedPointFree,
     OrderViolation,
+    ParameterOutOfRange,
     SizeLimitExceeded,
 )
 from .numtheory import divisors, geometric_sum_mod, multiplicative_order, prime_factors
@@ -101,10 +102,10 @@ def validate_type1(m: int, n: int, r: int) -> TypeIParams:
     """Validate (m, n, r) and compute d = order of r mod m.
 
     For m = 1 the group is cyclic of order n; r is normalized to 0 and d = 1.
-    Raises EvenM / CoprimalityViolation / OrderViolation.
+    Raises ParameterOutOfRange / EvenM / CoprimalityViolation / OrderViolation.
     """
     if m < 1 or n < 1:
-        raise ValueError(f"m, n must be positive, got m={m}, n={n}")
+        raise ParameterOutOfRange(f"m, n must be positive, got m={m}, n={n}")
     if m == 1:
         return TypeIParams(1, n, 0, 1)
     if m % 2 == 0:

@@ -21,7 +21,7 @@ import multiprocessing
 import os
 from dataclasses import dataclass, field
 
-from .errors import CertificationFailed, GroupMismatch
+from .errors import CertificationFailed, GroupMismatch, ParameterOutOfRange
 from .groups import (
     TypeIParams,
     canonical_r,
@@ -49,7 +49,7 @@ class SearchConfig:
 
     def __post_init__(self):
         if self.n_max < 1:
-            raise ValueError(f"n_max must be >= 1, got {self.n_max}")
+            raise ParameterOutOfRange(f"n_max must be >= 1, got {self.n_max}")
 
 
 @dataclass(frozen=True)
@@ -192,7 +192,7 @@ def _certify(s1: Spectrum, s2: Spectrum, grid, values) -> PairCertificate:
     )
 
 
-_PREFILTER_POINTS = 16
+_PREFILTER_POINTS = 1
 
 
 def _pairs_for_order(N: int) -> list[PairCertificate]:
@@ -206,13 +206,13 @@ def _pairs_for_order(N: int) -> list[PairCertificate]:
         if len(members) < 2:
             continue
         # Full-strength bucketing at the bucket's largest point count, evaluated
-        # lazily: a short point prefix splits off most non-isospectral groups
-        # (different F values anywhere prove different spectra), and only
-        # prefix-collisions get the complete vector; the full point list is
-        # built only then (select_points is a prefix rule).  The bucket-wide
-        # bound covers every pair's own bound, so certification reuses the
-        # vectors.  F-values depend only on the class multiset, so each
-        # distinct multiset is evaluated once.
+        # lazily: the first point screens out non-isospectral groups (different
+        # F values anywhere prove different spectra; a chance collision only
+        # costs a full evaluation), and only screen collisions get the complete
+        # vector; the full point list is built only then (select_points is a
+        # prefix rule).  The bucket-wide bound covers every pair's own bound,
+        # so certification reuses the vectors.  F-values depend only on the
+        # class multiset, so each distinct multiset is evaluated once.
         spectra = {g: Spectrum.of(SumRep.rho11(g)) for g in members}
         by_classes: dict[tuple, list[TypeIParams]] = {}
         for g in members:

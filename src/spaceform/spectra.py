@@ -112,20 +112,6 @@ class EigenExponentMultiset:
     modulus: int
     exponents: tuple[int, ...]
 
-    @property
-    def contains_zero(self) -> bool:
-        return 0 in self.exponents
-
-    def is_conjugation_closed(self) -> bool:
-        negated = sorted((self.modulus - t) % self.modulus for t in self.exponents)
-        return negated == list(self.exponents)
-
-    def rescaled(self, modulus: int) -> "EigenExponentMultiset":
-        if modulus % self.modulus != 0:
-            raise ValueError(f"{self.modulus} does not divide {modulus}")
-        f = modulus // self.modulus
-        return EigenExponentMultiset(modulus, tuple(sorted(t * f for t in self.exponents)))
-
 
 def _alpha(g: TypeIParams, c: int) -> int:
     """alpha(c) = sum_{h=1}^{d/gcd(d,c)} r^(gcd(d,c) h) mod m (paper convention)."""
@@ -198,101 +184,6 @@ def char_poly_exponents(rep: RepParams, x: GroupElement) -> EigenExponentMultise
     L = rep.group.order
     factors = sum_rep_det_factors(SumRep((rep,)), x)
     return EigenExponentMultiset(L, _factors_to_exponents(factors, L))
-
-
-# ----------------------------------------------------------------------
-# Matrix oracle: explicit rho_{k,l} matrices over F_p, charpoly by
-# Faddeev-LeVerrier.  Entirely independent of the exponent formulas above.
-
-def _matmul(A, B, p):
-    n = len(A)
-    Bc = list(zip(*B))
-    return [[sum(a * b for a, b in zip(row, col)) % p for col in Bc] for row in A]
-
-
-def _matpow(A, k, p):
-    n = len(A)
-    R = [[int(i == j) for j in range(n)] for i in range(n)]
-    while k:
-        if k & 1:
-            R = _matmul(R, A, p)
-        A = _matmul(A, A, p)
-        k >>= 1
-    return R
-
-
-def _charpoly(A, p):
-    """Coefficients (ascending) of det(zI - A) via Faddeev-LeVerrier."""
-    n = len(A)
-    coeffs = [0] * (n + 1)
-    coeffs[n] = 1
-    Mk = [[0] * n for _ in range(n)]
-    ck = 1
-    for k in range(1, n + 1):
-        for i in range(n):
-            Mk[i][i] = (Mk[i][i] + ck) % p
-        Mk = _matmul(A, Mk, p)
-        tr = sum(Mk[i][i] for i in range(n)) % p
-        ck = -tr * pow(k, -1, p) % p
-        coeffs[n - k] = ck
-    return coeffs
-
-
-def _poly_mul(a, b, p):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return out
-
-
-def poly_from_exponents(exps: EigenExponentMultiset, p: int, root: int | None = None) -> tuple[int, ...]:
-    """prod (z - eta^t) over the multiset, as ascending coefficients in F_p."""
-    L = exps.modulus
-    if (p - 1) % L:
-        raise BadPrime(f"{L} does not divide p-1")
-    eta = root if root is not None else root_of_unity(p, L)
-    coeffs = [1]
-    for t in exps.exponents:
-        lam = pow(eta, t, p)
-        coeffs = [0] + coeffs
-        for i in range(len(coeffs) - 1):
-            coeffs[i] = (coeffs[i] - lam * coeffs[i + 1]) % p
-    return tuple(coeffs)
-
-
-def char_poly_matrix_oracle(rep: RepParams, x: GroupElement, p: int) -> tuple[int, ...]:
-    """det(zI - rho_{k,l}(A^a B^b)) over F_p, built from the defining matrices.
-
-    The real representation is pi + conj(pi); each part is the d x d complex
-    matrix D^a S^b with D = diag(zeta_m^(k r^j)) and S the cyclic shift with
-    corner omega^l, embedded in F_p via a primitive (m*n)-th root.
-    """
-    g = rep.group
-    if x.group != g:
-        raise GroupMismatch(f"{x.group} vs {g}")
-    L = g.m * g.n
-    if (p - 1) % L:
-        raise BadPrime(f"L = {L} does not divide p-1 = {p - 1}")
-    eta = root_of_unity(p, L)
-    m, n, d = g.m, g.n, g.d
-    result = [1]
-    for base in (eta, pow(eta, p - 2, p)):
-        zeta_m = pow(base, L // m, p)
-        omega = pow(base, L // (n // d), p)
-        D = [[0] * d for _ in range(d)]
-        rj = 1 % m
-        for j in range(d):
-            D[j][j] = pow(zeta_m, rep.k * rj, p)
-            rj = rj * g.r % m if m > 1 else 0
-        S = [[0] * d for _ in range(d)]
-        for j in range(1, d):
-            S[j - 1][j] = 1
-        S[d - 1][0] = pow(omega, rep.l, p)
-        M = _matmul(_matpow(D, x.a, p), _matpow(S, x.b, p), p)
-        result = _poly_mul(result, _charpoly(M, p), p)
-    return tuple(result)
 
 
 # ----------------------------------------------------------------------
@@ -498,18 +389,26 @@ def _evaluation_grid(L: int, count: int, p: int | None = None):
     return p, root, select_points(p, L, count)
 
 
-def _class_field_data(classes, p: int, root: int):
-    """Per class: (count, e, det coefficients ascending in X = z^e).
+def _root_powers(p: int, root: int, L: int) -> list[int]:
+    """root^M mod p for every M < L, by L successive products."""
+    powers = [1] * L
+    for M in range(1, L):
+        powers[M] = powers[M - 1] * root % p
+    return powers
+
+
+def _class_field_data(classes, p: int, powers):
+    """Per class: (count, e, det coefficients ascending in X = z^e), with
+    powers[M] = root^M (_root_powers).
 
     Every factor of an element has the same e = d/gcd(b, d), the cycle length
-    of B^b, so each determinant is a polynomial in X = z^e.  Expanding it once
-    lets each point be evaluated by Horner with one multiplication per factor.
+    of B^b, so each determinant is a polynomial in X = z^e.
     """
     data = []
     for factors, count in classes:
         coeffs = [1]
         for _, M in factors:
-            em = pow(root, M, p)
+            em = powers[M]
             coeffs.append(0)
             for i in range(len(coeffs) - 1, 0, -1):
                 coeffs[i] = (coeffs[i] - em * coeffs[i - 1]) % p
@@ -517,41 +416,86 @@ def _class_field_data(classes, p: int, root: int):
     return data
 
 
-def _evaluate_sum(class_data, group_order: int, p: int, points) -> tuple[int, ...]:
-    """F_G(z_i) = (1-z^2)/|G| * sum_g det(I - g z)^-1 at each point, over F_p."""
-    es = sorted({e for _, e, _ in class_data})
-    inv_order = pow(group_order, p - 2, p)
-    ncl = len(class_data)
-    dets = [0] * ncl
-    prefix = [0] * ncl
-    values = []
+def _product_dets(classes, p: int, powers, points):
+    """Per point, every class determinant prod (1 - root^M z^e) straight
+    from its factors."""
+    es = {factors[0][0] for factors, _ in classes}
     for z in points:
         zp = {e: pow(z, e, p) for e in es}
-        for i, (_, e, coeffs) in enumerate(class_data):
-            x = zp[e]
-            h = coeffs[-1]
-            for c in coeffs[-2::-1]:
-                h = (h * x + c) % p
-            dets[i] = h
-        # Batched inversion: one modular exponentiation for all classes.
+        dets = []
+        for factors, _ in classes:
+            x = zp[factors[0][0]]
+            det = 1
+            for _, M in factors:
+                det = det * (1 - powers[M] * x) % p
+            dets.append(det)
+        yield dets
+
+
+def _packed_dets(class_data, D: int, p: int, points):
+    """Per point, every class determinant by one Horner pass over all classes.
+
+    Coefficient j of z of every class is packed into one integer, one lane of
+    w bytes per class (Kronecker substitution).  With the points reduced mod
+    p, a determinant of degree D is below (D+1) * p * z_max^D as an integer,
+    so Horner runs on the packed integer with no reduction, no lane carries
+    into the next, and each lane is reduced mod p once at the end.
+    """
+    points = [z % p for z in points]
+    w = ((D + 1).bit_length() + p.bit_length() + D * max(points).bit_length() + 7) // 8
+    size = w * len(class_data)
+    zero, from_bytes = bytes(w), int.from_bytes
+    packed = [from_bytes(b"".join(coeffs[j // e].to_bytes(w, "little") if j % e == 0 else zero
+                                      for _, e, coeffs in class_data), "little")
+              for j in range(D + 1)]
+    for z in points:
+        h = packed[D]
+        for j in range(D - 1, -1, -1):
+            h = h * z + packed[j]
+        lanes = h.to_bytes(size, "little")
+        yield [from_bytes(lanes[i:i + w], "little") % p for i in range(0, size, w)]
+
+
+def _sum_over_classes(counts, dets_per_point, group_order: int, p: int, points) -> tuple[int, ...]:
+    """F_G(z) = (1-z^2)/|G| * sum_C count_C / det_C(z) at each point, from
+    every class determinant det_C(z) at that point."""
+    inv_order = pow(group_order, -1, p)
+    ncl = len(counts)
+    prefix = [0] * ncl
+    values = []
+    for z, dets in zip(points, dets_per_point):
+        # Batched inversion: one modular inverse for all classes.
         acc = 1
         for i in range(ncl):
             prefix[i] = acc
             acc = acc * dets[i] % p
         if acc == 0:
             raise SingularPoint(f"z = {z} is a pole of some det(I - gz)")
-        inv_acc = pow(acc, p - 2, p)
+        inv_acc = pow(acc, -1, p)
         total = 0
         for i in range(ncl - 1, -1, -1):
-            total += class_data[i][0] * (inv_acc * prefix[i] % p)
+            total += counts[i] * (inv_acc * prefix[i] % p)
             inv_acc = inv_acc * dets[i] % p
         values.append((1 - z * z) * inv_order % p * (total % p) % p)
     return tuple(values)
 
 
 def evaluate_f_values(classes, group_order: int, p: int, root: int, points) -> tuple[int, ...]:
-    """Exact values of F_G at the given points (classes from det_classes)."""
-    return _evaluate_sum(_class_field_data(classes, p, root), group_order, p, points)
+    """Exact values of F_G at the given points (classes from det_classes, so
+    every exponent M is below L = group_order).
+
+    Every class determinant has degree D, the rep's degree, in z.  Up to D
+    points are evaluated in product form, which needs no expansion; more
+    points pay for expanding each determinant once and share one packed
+    Horner pass per point.
+    """
+    powers = _root_powers(p, root, group_order)
+    D = sum(e for e, _ in classes[0][0])
+    if len(points) <= D:
+        dets = _product_dets(classes, p, powers, points)
+    else:
+        dets = _packed_dets(_class_field_data(classes, p, powers), D, p, points)
+    return _sum_over_classes([count for _, count in classes], dets, group_order, p, points)
 
 
 @dataclass(frozen=True)
@@ -651,7 +595,7 @@ def _molien_from_classes(classes, group_order: int, K: int, p: int, root: int) -
     e-th power of z enters the inversion.
     """
     total = [0] * (K + 1)
-    for count, e, det in _class_field_data(classes, p, root):
+    for count, e, det in _class_field_data(classes, p, _root_powers(p, root, group_order)):
         inv = [0] * (K + 1)
         inv[0] = 1
         for t in range(1, K + 1):

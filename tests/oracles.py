@@ -1,0 +1,209 @@
+"""Slow, independent reference implementations that the tests compare the
+library against.  Nothing in src/ imports this module.
+
+- The matrix oracle: explicit rho_{k,l} matrices over F_p and their
+  characteristic polynomials by Faddeev-LeVerrier, independent of the
+  exponent formulas in spectra.py.
+- The element walk: determinant classes from every one of the m*n elements.
+- The reference F-evaluator: each class determinant expanded with one pow()
+  per factor, then evaluated point by point by Horner with a reduction mod p
+  at every step.
+- Helpers on eigenvalue exponent multisets.
+"""
+
+import math
+
+from spaceform.errors import BadPrime, GroupMismatch, SingularPoint
+from spaceform.spectra import EigenExponentMultiset, _alpha, root_of_unity
+
+
+# --- exponent multisets ---------------------------------------------------
+
+def contains_zero(exps: EigenExponentMultiset) -> bool:
+    return 0 in exps.exponents
+
+
+def is_conjugation_closed(exps: EigenExponentMultiset) -> bool:
+    negated = sorted((exps.modulus - t) % exps.modulus for t in exps.exponents)
+    return negated == list(exps.exponents)
+
+
+def rescaled(exps: EigenExponentMultiset, modulus: int) -> EigenExponentMultiset:
+    if modulus % exps.modulus != 0:
+        raise ValueError(f"{exps.modulus} does not divide {modulus}")
+    f = modulus // exps.modulus
+    return EigenExponentMultiset(modulus, tuple(sorted(t * f for t in exps.exponents)))
+
+
+# --- matrix oracle --------------------------------------------------------
+
+def _matmul(A, B, p):
+    Bc = list(zip(*B))
+    return [[sum(a * b for a, b in zip(row, col)) % p for col in Bc] for row in A]
+
+
+def _matpow(A, k, p):
+    n = len(A)
+    R = [[int(i == j) for j in range(n)] for i in range(n)]
+    while k:
+        if k & 1:
+            R = _matmul(R, A, p)
+        A = _matmul(A, A, p)
+        k >>= 1
+    return R
+
+
+def _charpoly(A, p):
+    """Coefficients (ascending) of det(zI - A) via Faddeev-LeVerrier."""
+    n = len(A)
+    coeffs = [0] * (n + 1)
+    coeffs[n] = 1
+    Mk = [[0] * n for _ in range(n)]
+    ck = 1
+    for k in range(1, n + 1):
+        for i in range(n):
+            Mk[i][i] = (Mk[i][i] + ck) % p
+        Mk = _matmul(A, Mk, p)
+        tr = sum(Mk[i][i] for i in range(n)) % p
+        ck = -tr * pow(k, -1, p) % p
+        coeffs[n - k] = ck
+    return coeffs
+
+
+def _poly_mul(a, b, p):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] = (out[i + j] + ai * bj) % p
+    return out
+
+
+def poly_from_exponents(exps: EigenExponentMultiset, p: int, root: int | None = None) -> tuple[int, ...]:
+    """prod (z - eta^t) over the multiset, as ascending coefficients in F_p."""
+    L = exps.modulus
+    if (p - 1) % L:
+        raise BadPrime(f"{L} does not divide p-1")
+    eta = root if root is not None else root_of_unity(p, L)
+    coeffs = [1]
+    for t in exps.exponents:
+        lam = pow(eta, t, p)
+        coeffs = [0] + coeffs
+        for i in range(len(coeffs) - 1):
+            coeffs[i] = (coeffs[i] - lam * coeffs[i + 1]) % p
+    return tuple(coeffs)
+
+
+def char_poly_matrix_oracle(rep, x, p: int) -> tuple[int, ...]:
+    """det(zI - rho_{k,l}(A^a B^b)) over F_p, built from the defining matrices.
+
+    The real representation is pi + conj(pi); each part is the d x d complex
+    matrix D^a S^b with D = diag(zeta_m^(k r^j)) and S the cyclic shift with
+    corner omega^l, embedded in F_p via a primitive (m*n)-th root.
+    """
+    g = rep.group
+    if x.group != g:
+        raise GroupMismatch(f"{x.group} vs {g}")
+    L = g.m * g.n
+    if (p - 1) % L:
+        raise BadPrime(f"L = {L} does not divide p-1 = {p - 1}")
+    eta = root_of_unity(p, L)
+    m, n, d = g.m, g.n, g.d
+    result = [1]
+    for base in (eta, pow(eta, p - 2, p)):
+        zeta_m = pow(base, L // m, p)
+        omega = pow(base, L // (n // d), p)
+        D = [[0] * d for _ in range(d)]
+        rj = 1 % m
+        for j in range(d):
+            D[j][j] = pow(zeta_m, rep.k * rj, p)
+            rj = rj * g.r % m if m > 1 else 0
+        S = [[0] * d for _ in range(d)]
+        for j in range(1, d):
+            S[j - 1][j] = 1
+        S[d - 1][0] = pow(omega, rep.l, p)
+        M = _matmul(_matpow(D, x.a, p), _matpow(S, x.b, p), p)
+        result = _poly_mul(result, _charpoly(M, p), p)
+    return tuple(result)
+
+
+# --- determinant classes ----------------------------------------------------
+
+def element_walk_det_classes(rep):
+    """The determinant classes from every one of the m*n elements, each
+    element's factors computed from (a, b) directly."""
+    g = rep.group
+    m, n, d = g.m, g.n, g.d
+    L = m * n
+    counts = {}
+    for a in range(m):
+        for b in range(n):
+            c = math.gcd(b, d)
+            e, nd = d // c, n // d
+            alpha = _alpha(g, b)
+            factors = []
+            for s in rep.summands:
+                y = s.l * (b // c) % nd
+                base = a * s.k * alpha % m
+                rj = 1 % m
+                for _ in range(c):
+                    M = (base * rj % m * (L // m) + y * (L // nd)) % L
+                    factors += [(e, M), (e, (L - M) % L)]
+                    rj = rj * g.r % m
+            key = tuple(sorted(factors))
+            counts[key] = counts.get(key, 0) + 1
+    return tuple(sorted(counts.items()))
+
+
+# --- reference F-evaluator -------------------------------------------------
+
+def _class_field_data(classes, p: int, root: int):
+    """Per class: (count, e, det coefficients ascending in X = z^e), with one
+    pow(root, M, p) per factor."""
+    data = []
+    for factors, count in classes:
+        coeffs = [1]
+        for _, M in factors:
+            em = pow(root, M, p)
+            coeffs.append(0)
+            for i in range(len(coeffs) - 1, 0, -1):
+                coeffs[i] = (coeffs[i] - em * coeffs[i - 1]) % p
+        data.append((count, factors[0][0], tuple(coeffs)))
+    return data
+
+
+def _evaluate_sum(class_data, group_order: int, p: int, points) -> tuple[int, ...]:
+    """F_G(z_i) = (1-z^2)/|G| * sum_g det(I - g z)^-1 at each point, over F_p."""
+    es = sorted({e for _, e, _ in class_data})
+    inv_order = pow(group_order, p - 2, p)
+    ncl = len(class_data)
+    dets = [0] * ncl
+    prefix = [0] * ncl
+    values = []
+    for z in points:
+        zp = {e: pow(z, e, p) for e in es}
+        for i, (_, e, coeffs) in enumerate(class_data):
+            x = zp[e]
+            h = coeffs[-1]
+            for c in coeffs[-2::-1]:
+                h = (h * x + c) % p
+            dets[i] = h
+        # Batched inversion: one modular exponentiation for all classes.
+        acc = 1
+        for i in range(ncl):
+            prefix[i] = acc
+            acc = acc * dets[i] % p
+        if acc == 0:
+            raise SingularPoint(f"z = {z} is a pole of some det(I - gz)")
+        inv_acc = pow(acc, p - 2, p)
+        total = 0
+        for i in range(ncl - 1, -1, -1):
+            total += class_data[i][0] * (inv_acc * prefix[i] % p)
+            inv_acc = inv_acc * dets[i] % p
+        values.append((1 - z * z) * inv_order % p * (total % p) % p)
+    return tuple(values)
+
+
+def reference_f_values(classes, group_order: int, p: int, root: int, points) -> tuple[int, ...]:
+    """F_G at the given points by the reference evaluator."""
+    return _evaluate_sum(_class_field_data(classes, p, root), group_order, p, points)

@@ -13,6 +13,7 @@ import time
 
 import pytest
 
+from oracles import char_poly_matrix_oracle, poly_from_exponents
 from table1 import TABLE1_ROWS, canonical_row_set
 
 from spaceform.groups import (
@@ -32,10 +33,8 @@ from spaceform.spectra import (
     RepParams,
     SumRep,
     char_poly_exponents,
-    char_poly_matrix_oracle,
     choose_prime,
     molien_coefficients,
-    poly_from_exponents,
 )
 
 

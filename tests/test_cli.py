@@ -25,12 +25,12 @@ SEARCH_3600_SHA256 = {
 }
 
 
-def run_cli(*args, expect_code=0, env_extra=None):
+def run_cli(*args, expect_code=0, env_extra=None, timeout=None):
     env = dict(os.environ)
     if env_extra:
         env.update(env_extra)
     proc = subprocess.run([sys.executable, "-m", "spaceform", *args],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=env, timeout=timeout)
     assert proc.returncode == expect_code, proc.stderr + proc.stdout
     return proc
 
@@ -103,6 +103,17 @@ def test_fingerprint_and_certify_pair_refuse_oversized_group():
         out = payload(run_cli(*args, expect_code=1))
         assert out["error"] == "SizeLimitExceeded"
         assert "2118 determinant classes x 67781 points" in out["message"]
+
+
+def test_kmolien_budget():
+    # 20 classes x K = 100000 x degree 16 Molien terms: refused at once, not
+    # run until killed.  A small K still runs.
+    for args in (("fingerprint", "85", "16", "2"), ("certify-pair", "85", "16", "2", "42")):
+        out = payload(run_cli(*args, "--kmolien", "100000", expect_code=1, timeout=30))
+        assert out["error"] == "SizeLimitExceeded"
+        assert "20 determinant classes x K = 100000 x degree 16" in out["message"]
+    assert len(payload(run_cli("fingerprint", "85", "16", "2", "--kmolien", "8"))["molien"]) == 9
+    run_cli("certify-pair", "85", "16", "2", "42", "--kmolien", "8")
 
 
 def test_certify_pair_ok():

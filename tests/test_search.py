@@ -5,7 +5,7 @@ import pickle
 
 import pytest
 
-from spaceform.errors import CertificationFailed
+from spaceform.errors import CertificationFailed, ParameterOutOfRange, SpaceformError
 from spaceform.groups import is_fixed_point_free, validate_type1
 from spaceform.numtheory import prime_factors
 from spaceform.search import (
@@ -140,6 +140,39 @@ def test_pairs_for_order_evaluates_each_class_multiset_once(monkeypatch):
     assert search._pairs_for_order(520) == []
     assert point_counts and all(count <= 16 for count in point_counts)
     assert evaluated and all(count <= 16 for _, count in evaluated)
+
+
+def test_pairs_for_order_survives_screen_collisions(monkeypatch):
+    # A screen that lets every distinct class tuple collide at its one point
+    # sends each tuple to one full evaluation; the full values still keep
+    # every non-isospectral group apart.
+    from spaceform import search
+
+    full = []
+
+    def colliding_screen(classes, N, p, root, points):
+        if len(points) <= search._PREFILTER_POINTS:
+            return (0,) * len(points)
+        full.append(classes)
+        return evaluate_f_values(classes, N, p, root, points)
+
+    monkeypatch.setattr(search, "evaluate_f_values", colliding_screen)
+    buckets = {}
+    for g in enumerate_canonical(1360):
+        buckets.setdefault(audible_invariants(g), []).append(g)
+    distinct = {Spectrum.of(SumRep.rho11(g)).classes
+                for members in buckets.values() if len(members) > 1 for g in members}
+    assert len(distinct) > 2
+    assert [(c.r1, c.r2) for c in search._pairs_for_order(1360)] == [(2, 42)]
+    assert len(full) == len(set(full)) and set(full) == distinct
+
+
+def test_out_of_range_parameters_raise_spaceform_error():
+    assert issubclass(ParameterOutOfRange, SpaceformError) and issubclass(ParameterOutOfRange, ValueError)
+    for call in (lambda: validate_type1(0, 4, 1), lambda: validate_type1(5, 0, 1),
+                 lambda: SearchConfig(n_max=0)):
+        with pytest.raises(ParameterOutOfRange):
+            call()
 
 
 def test_run_search_below_smallest_pair():

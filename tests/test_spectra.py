@@ -16,13 +16,9 @@ from spaceform.spectra import (
     RepParams,
     Spectrum,
     SumRep,
-    _alpha,
-    _class_field_data,
-    _evaluate_sum,
     _molien_from_classes,
     almost_conjugate,
     char_poly_exponents,
-    char_poly_matrix_oracle,
     choose_prime,
     det_classes,
     evaluate_f_values,
@@ -30,7 +26,6 @@ from spaceform.spectra import (
     isometric_irreducible,
     molien_coefficients,
     natural_bijection,
-    poly_from_exponents,
     reps_equivalent,
     root_of_unity,
     select_points,
@@ -38,12 +33,31 @@ from spaceform.spectra import (
     sum_rep_det_factors,
 )
 
+from oracles import (
+    char_poly_matrix_oracle,
+    contains_zero,
+    element_walk_det_classes,
+    is_conjugation_closed,
+    poly_from_exponents,
+    reference_f_values,
+    rescaled,
+)
 from table1 import TABLE1_ROWS
 
 G85 = validate_type1(85, 16, 2)
 G85B = validate_type1(85, 16, 42)
 G54 = validate_type1(5, 4, 4)
 RHO = RepParams(G85, 1, 1)
+
+
+def _random_sum_reps(rng, groups, count):
+    """Three-summand sums with seeded (k, l) over a seeded sample of groups."""
+    reps = []
+    for g in rng.sample(groups, count):
+        ks = [k for k in range(1, g.m + 1) if math.gcd(k, g.m) == 1]
+        ls = [l for l in range(1, g.n + 1) if math.gcd(l, g.n) == 1]
+        reps.append(SumRep.from_pairs(g, [(rng.choice(ks), rng.choice(ls)) for _ in range(3)]))
+    return reps
 
 
 def test_rep_validation():
@@ -91,13 +105,13 @@ def test_conjugation_closure(fpf_pool_2000):
         rho = SumRep.rho11(g).summands[0]
         for _ in range(5):
             x = g.element(rng.randrange(g.m), rng.randrange(g.n))
-            assert char_poly_exponents(rho, x).is_conjugation_closed()
+            assert is_conjugation_closed(char_poly_exponents(rho, x))
 
 
 def test_free_action_smallest_pair_group():
     rho = RepParams(G85, 1, 1)
     for x in G85.elements():
-        zero = char_poly_exponents(rho, x).contains_zero
+        zero = contains_zero(char_poly_exponents(rho, x))
         assert zero == x.is_identity
 
 
@@ -121,17 +135,17 @@ def test_fixed_point_freeness_matches_spectral_freeness(valid_pool_2000):
     pool = [g for g in valid_pool_2000 if not g.is_cyclic]
     for g in rng.sample(pool, 80):
         rho = RepParams(g, 1, 1)
-        free = all(not char_poly_exponents(rho, x).contains_zero
+        free = all(not contains_zero(char_poly_exponents(rho, x))
                    for x in g.elements() if not x.is_identity)
         assert free == is_fixed_point_free(g)
 
 
 def test_rescale():
     e = char_poly_exponents(RepParams(G54, 1, 1), G54.gen_b())
-    r = e.rescaled(40)
+    r = rescaled(e, 40)
     assert r.exponents == (10, 10, 30, 30)
     with pytest.raises(ValueError):
-        e.rescaled(30)
+        rescaled(e, 30)
 
 
 # --- matrix oracle ------------------------------------------------------
@@ -328,12 +342,49 @@ def test_fingerprint_root_choice_does_not_change_values():
 
 
 def test_evaluation_order_invariance():
-    sr = SumRep.rho11(G54)
+    # 4 points take the product form, 10 the packed Horner pass (degree 4).
+    classes = det_classes(SumRep.rho11(G54))
     p = choose_prime(20)
     root = root_of_unity(p, 20)
-    points = select_points(p, 20, 10)
-    data = _class_field_data(det_classes(sr), p, root)
-    assert _evaluate_sum(data, 20, p, points) == _evaluate_sum(data[::-1], 20, p, points)
+    for count in (4, 10):
+        points = select_points(p, 20, count)
+        assert evaluate_f_values(classes, 20, p, root, points) == \
+            evaluate_f_values(classes[::-1], 20, p, root, points)
+
+
+def _assert_matches_reference(rep, counts, extra_points=()):
+    # Both evaluator paths against the reference evaluator, in both class
+    # orders: up to degree points take the product form, more points the
+    # packed Horner pass.
+    classes = det_classes(rep)
+    L = rep.group.order
+    assert max(counts) > rep.degree >= min(counts)
+    p = choose_prime(L)
+    root = root_of_unity(p, L)
+    for count in counts:
+        points = select_points(p, L, count) + tuple(extra_points)
+        expected = reference_f_values(classes, L, p, root, points)
+        assert evaluate_f_values(classes, L, p, root, points) == expected, (rep, count)
+        assert evaluate_f_values(classes[::-1], L, p, root, points) == expected, (rep, count)
+
+
+def test_f_values_match_reference_on_pool(fpf_pool_2000):
+    rng = random.Random(73)
+    reps = [SumRep.rho11(g) for g in rng.sample(fpf_pool_2000, 60)]
+    reps += _random_sum_reps(rng, fpf_pool_2000, 40)
+    for rep in reps:
+        _assert_matches_reference(rep, (1, rep.degree, rep.degree + 1))
+
+
+def test_f_values_match_reference_on_table1():
+    # Every Table-1 group to 8000 on a few hundred points, a d = 16 group
+    # among them; points at and above p reach the packed pass unreduced.
+    groups = {validate_type1(m, n, r) for N, m, n, d, r1, r2 in TABLE1_ROWS if N <= 8000 for r in (r1, r2)}
+    assert any(g.d == 16 for g in groups)
+    for g in groups:
+        p = choose_prime(g.order)
+        high = [z for z in (p - 2, p, p + 2, p + 3, 2 * p + 3, 5 * p - 2) if pow(z, g.order, p) != 1]
+        _assert_matches_reference(SumRep.rho11(g), (1, 300), high)
 
 
 def test_singular_point_raises():
@@ -343,6 +394,9 @@ def test_singular_point_raises():
     bad = pow(root, 20 - 5, p)  # inverse of the eigenvalue zeta^5 of B
     with pytest.raises(SingularPoint):
         evaluate_f_values(det_classes(sr), 20, p, root, (bad,))
+    # The packed Horner pass (more points than the degree 4) as well.
+    with pytest.raises(SingularPoint):
+        evaluate_f_values(det_classes(sr), 20, p, root, select_points(p, 20, 4) + (bad,))
 
 
 def test_shared_fingerprints_requires_equal_order():
@@ -421,42 +475,13 @@ def test_det_classes_partition_group(valid_pool_2000):
     # share one cycle length e, which the F-value and Molien engines rely on.
     rng = random.Random(67)
     reps = [SumRep.rho11(G54), SumRep.rho11(G85)]
-    for g in rng.sample([g for g in valid_pool_2000 if g.m * g.n <= 600], 40):
-        ks = [k for k in range(1, g.m + 1) if math.gcd(k, g.m) == 1]
-        ls = [l for l in range(1, g.n + 1) if math.gcd(l, g.n) == 1]
-        reps.append(SumRep.from_pairs(g, [(rng.choice(ks), rng.choice(ls)) for _ in range(3)]))
+    reps += _random_sum_reps(rng, [g for g in valid_pool_2000 if g.m * g.n <= 600], 40)
     for rep in reps:
         g = rep.group
         spectrum = Spectrum.of(rep)
         assert sum(c for _, c in spectrum.classes) == g.order
         assert spectrum.degree_bound == 2 + len(spectrum.classes) * rep.degree
         assert all(len({e for e, _ in factors}) == 1 for factors, _ in spectrum.classes)
-
-
-def element_walk_det_classes(rep):
-    """Test oracle: the determinant classes from every one of the m*n
-    elements, each element's factors computed from (a, b) directly."""
-    g = rep.group
-    m, n, d = g.m, g.n, g.d
-    L = m * n
-    counts = {}
-    for a in range(m):
-        for b in range(n):
-            c = math.gcd(b, d)
-            e, nd = d // c, n // d
-            alpha = _alpha(g, b)
-            factors = []
-            for s in rep.summands:
-                y = s.l * (b // c) % nd
-                base = a * s.k * alpha % m
-                rj = 1 % m
-                for _ in range(c):
-                    M = (base * rj % m * (L // m) + y * (L // nd)) % L
-                    factors += [(e, M), (e, (L - M) % L)]
-                    rj = rj * g.r % m
-            key = tuple(sorted(factors))
-            counts[key] = counts.get(key, 0) + 1
-    return tuple(sorted(counts.items()))
 
 
 def test_det_classes_match_element_walk_on_pool(fpf_pool_2000):
@@ -466,10 +491,7 @@ def test_det_classes_match_element_walk_on_pool(fpf_pool_2000):
     sample = rng.sample(fpf_pool_2000, 150)
     sample += [g for g in fpf_pool_2000 if g.m == 1 and g not in sample][::10]
     reps = [SumRep.rho11(g) for g in sample]
-    for g in rng.sample(fpf_pool_2000, 40):
-        ks = [k for k in range(1, g.m + 1) if math.gcd(k, g.m) == 1]
-        ls = [l for l in range(1, g.n + 1) if math.gcd(l, g.n) == 1]
-        reps.append(SumRep.from_pairs(g, [(rng.choice(ks), rng.choice(ls)) for _ in range(3)]))
+    reps += _random_sum_reps(rng, fpf_pool_2000, 40)
     assert any(rep.group.m == 1 for rep in reps)
     for rep in reps:
         assert det_classes(rep) == element_walk_det_classes(rep), rep
