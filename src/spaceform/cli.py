@@ -210,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add("search", _cmd_search, "find all isospectral non-isomorphic pairs with N <= nmax")
     sp.add_argument("--nmax", type=positive, required=True)
     sp.add_argument("--out", type=str, default=None, help="directory for pairs.csv + certificates")
-    sp.add_argument("--jobs", type=int, default=1)
+    sp.add_argument("--jobs", type=positive, default=1)
 
     sp = add("construct", _cmd_construct, "Theorem-4.2 pairs (n = 2d, r1 r2 = -1) up to mmax")
     sp.add_argument("--mmax", type=int, required=True)
@@ -218,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = add("crosscheck", _cmd_crosscheck, "flag every found pair with Theorem-4.2 applicability")
     sp.add_argument("--nmax", type=positive, required=True)
-    sp.add_argument("--jobs", type=int, default=1)
+    sp.add_argument("--jobs", type=positive, default=1)
 
     return parser
 

@@ -35,7 +35,8 @@ class NotFixedPointFree(SpaceformError):
 
 
 class ParameterOutOfRange(SpaceformError):
-    """A size parameter is out of its range: m or n below 1, or n_max below 1."""
+    """A size parameter is out of its range: m, n, n_max or jobs below 1, or a
+    negative Molien truncation."""
 
 
 class SizeLimitExceeded(SpaceformError):

@@ -20,6 +20,7 @@ import math
 import multiprocessing
 import os
 from dataclasses import dataclass, field
+from itertools import combinations
 
 from .errors import CertificationFailed, GroupMismatch, ParameterOutOfRange
 from .groups import (
@@ -50,6 +51,8 @@ class SearchConfig:
     def __post_init__(self):
         if self.n_max < 1:
             raise ParameterOutOfRange(f"n_max must be >= 1, got {self.n_max}")
+        if self.jobs < 1:
+            raise ParameterOutOfRange(f"jobs must be >= 1, got {self.jobs}")
 
 
 @dataclass(frozen=True)
@@ -148,11 +151,10 @@ def certify_pair(g1: TypeIParams, g2: TypeIParams, rep_pairs=None) -> PairCertif
     g1, g2 = _ordered_pair(g1, g2)
     rep_pairs = rep_pairs or ((1, 1),)
     s1, s2 = (Spectrum.of(SumRep.from_pairs(g, rep_pairs)) for g in (g1, g2))
-    grid = _evaluation_grid(g1.order, max(s1.point_count, s2.point_count))
-    values = s1.f_values(*grid)
-    if s2.f_values(*grid) != values:
+    buckets, grid = _f_buckets([s1, s2], g1.order)
+    if len(buckets) != 1:  # one bucket holds both exactly when their values agree
         raise CertificationFailed("fingerprint", "value vectors differ")
-    return _certify(s1, s2, grid, values)
+    return _certify(s1, s2, grid, next(iter(buckets)))
 
 
 def _ordered_pair(g1: TypeIParams, g2: TypeIParams) -> tuple[TypeIParams, TypeIParams]:
@@ -195,6 +197,32 @@ def _certify(s1: Spectrum, s2: Spectrum, grid, values) -> PairCertificate:
 _PREFILTER_POINTS = 1
 
 
+def _f_buckets(spectra: list[Spectrum], N: int):
+    """({F-values: spectra}, grid) for spectra of order N, the values on grid,
+    the points of the largest point count among them.  One point screens
+    first (a chance collision only costs a full vector); only screen
+    collisions get the full vector, on a grid built only then (None if no two
+    collide).  Each distinct class multiset is evaluated once."""
+    by_classes: dict[tuple, list[Spectrum]] = {}
+    for s in spectra:
+        by_classes.setdefault(s.classes, []).append(s)
+    count = max(s.point_count for s in spectra)
+    p, root, prefix = _evaluation_grid(N, min(_PREFILTER_POINTS, count))
+    stage1: dict[tuple, list[tuple]] = {}
+    for classes in by_classes:
+        stage1.setdefault(evaluate_f_values(classes, N, p, root, prefix), []).append(classes)
+    grid = None
+    buckets: dict[tuple, list[Spectrum]] = {}
+    for pre in sorted(stage1):
+        survivors = stage1[pre]
+        if sum(len(by_classes[c]) for c in survivors) < 2:
+            continue
+        grid = grid or _evaluation_grid(N, count, p)
+        for classes in survivors:
+            buckets.setdefault(evaluate_f_values(classes, N, *grid), []).extend(by_classes[classes])
+    return buckets, grid
+
+
 def _pairs_for_order(N: int) -> list[PairCertificate]:
     groups = enumerate_canonical(N)
     prebuckets: dict[tuple, list[TypeIParams]] = {}
@@ -205,38 +233,12 @@ def _pairs_for_order(N: int) -> list[PairCertificate]:
         members = prebuckets[key]
         if len(members) < 2:
             continue
-        # Full-strength bucketing at the bucket's largest point count, evaluated
-        # lazily: the first point screens out non-isospectral groups (different
-        # F values anywhere prove different spectra; a chance collision only
-        # costs a full evaluation), and only screen collisions get the complete
-        # vector; the full point list is built only then (select_points is a
-        # prefix rule).  The bucket-wide bound covers every pair's own bound,
-        # so certification reuses the vectors.  F-values depend only on the
-        # class multiset, so each distinct multiset is evaluated once.
         spectra = {g: Spectrum.of(SumRep.rho11(g)) for g in members}
-        by_classes: dict[tuple, list[TypeIParams]] = {}
-        for g in members:
-            by_classes.setdefault(spectra[g].classes, []).append(g)
-        count = max(s.point_count for s in spectra.values())
-        p, root, prefix = _evaluation_grid(N, min(_PREFILTER_POINTS, count))
-        stage1: dict[tuple, list[tuple]] = {}
-        for classes in by_classes:
-            stage1.setdefault(evaluate_f_values(classes, N, p, root, prefix), []).append(classes)
-        grid = None
-        buckets: dict[tuple, list[TypeIParams]] = {}
-        for pre in sorted(stage1):
-            survivors = stage1[pre]
-            if sum(len(by_classes[c]) for c in survivors) < 2:
-                continue
-            grid = grid or _evaluation_grid(N, count, p)
-            for classes in survivors:
-                buckets.setdefault(evaluate_f_values(classes, N, *grid), []).extend(by_classes[classes])
+        buckets, grid = _f_buckets(list(spectra.values()), N)
         for values in sorted(buckets):
-            mates = buckets[values]  # every mate has these values
-            for i in range(len(mates)):
-                for j in range(i + 1, len(mates)):
-                    g1, g2 = _ordered_pair(mates[i], mates[j])
-                    certs.append(_certify(spectra[g1], spectra[g2], grid, values))
+            for a, b in combinations(buckets[values], 2):  # every mate has these values
+                g1, g2 = _ordered_pair(a.rep.group, b.rep.group)
+                certs.append(_certify(spectra[g1], spectra[g2], grid, values))
     return certs
 
 

@@ -36,6 +36,7 @@ from .errors import (
     DegreeMismatch,
     GroupMismatch,
     InvalidRepresentation,
+    ParameterOutOfRange,
     PrimeTooSmall,
     SingularPoint,
 )
@@ -458,25 +459,18 @@ def _packed_dets(class_data, D: int, p: int, points):
 
 def _sum_over_classes(counts, dets_per_point, group_order: int, p: int, points) -> tuple[int, ...]:
     """F_G(z) = (1-z^2)/|G| * sum_C count_C / det_C(z) at each point, from
-    every class determinant det_C(z) at that point."""
+    every class determinant det_C(z) there; the sum is kept as one fraction
+    num/den, so each point costs one modular inverse."""
     inv_order = pow(group_order, -1, p)
-    ncl = len(counts)
-    prefix = [0] * ncl
     values = []
     for z, dets in zip(points, dets_per_point):
-        # Batched inversion: one modular inverse for all classes.
-        acc = 1
-        for i in range(ncl):
-            prefix[i] = acc
-            acc = acc * dets[i] % p
-        if acc == 0:
+        num, den = 0, 1
+        for count, det in zip(counts, dets):
+            num = (num * det + count * den) % p
+            den = den * det % p
+        if den == 0:
             raise SingularPoint(f"z = {z} is a pole of some det(I - gz)")
-        inv_acc = pow(acc, -1, p)
-        total = 0
-        for i in range(ncl - 1, -1, -1):
-            total += counts[i] * (inv_acc * prefix[i] % p)
-            inv_acc = inv_acc * dets[i] % p
-        values.append((1 - z * z) * inv_order % p * (total % p) % p)
+        values.append((1 - z * z) * inv_order % p * num % p * pow(den, -1, p) % p)
     return tuple(values)
 
 
@@ -575,6 +569,8 @@ def molien_coefficients(rep: SumRep, truncation: int = DEFAULT_MOLIEN_TRUNCATION
     Each class determinant is inverted as a truncated power series; the prime
     must exceed dim H_{q,K} so the lift is unique.
     """
+    if truncation < 0:
+        raise ParameterOutOfRange(f"truncation must be >= 0, got {truncation}")
     g = rep.group
     L = g.m * g.n
     q = rep.degree - 1
@@ -605,5 +601,5 @@ def _molien_from_classes(classes, group_order: int, K: int, p: int, root: int) -
             inv[t] = -s % p
         for t in range(K + 1):
             total[t] = (total[t] + count * inv[t]) % p
-    inv_order = pow(group_order, p - 2, p)
+    inv_order = pow(group_order, -1, p)
     return [(total[k] - (total[k - 2] if k >= 2 else 0)) * inv_order % p for k in range(K + 1)]

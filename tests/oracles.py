@@ -8,13 +8,16 @@ library against.  Nothing in src/ imports this module.
 - The reference F-evaluator: each class determinant expanded with one pow()
   per factor, then evaluated point by point by Horner with a reduction mod p
   at every step.
+- Pair certification by the full-vector rule: both complete value vectors
+  evaluated and compared, with no screen.
 - Helpers on eigenvalue exponent multisets.
 """
 
 import math
 
-from spaceform.errors import BadPrime, GroupMismatch, SingularPoint
-from spaceform.spectra import EigenExponentMultiset, _alpha, root_of_unity
+from spaceform.errors import BadPrime, CertificationFailed, GroupMismatch, SingularPoint
+from spaceform.search import _certify, _ordered_pair
+from spaceform.spectra import EigenExponentMultiset, Spectrum, SumRep, _alpha, _evaluation_grid, root_of_unity
 
 
 # --- exponent multisets ---------------------------------------------------
@@ -207,3 +210,17 @@ def _evaluate_sum(class_data, group_order: int, p: int, points) -> tuple[int, ..
 def reference_f_values(classes, group_order: int, p: int, root: int, points) -> tuple[int, ...]:
     """F_G at the given points by the reference evaluator."""
     return _evaluate_sum(_class_field_data(classes, p, root), group_order, p, points)
+
+
+# --- certification by the full-vector rule ---------------------------------
+
+def full_vector_certify_pair(g1, g2, rep_pairs=None):
+    """certify_pair as it was before it screened: both full vectors on the
+    pair's grid are evaluated and compared, then almost-conjugacy runs."""
+    g1, g2 = _ordered_pair(g1, g2)
+    s1, s2 = (Spectrum.of(SumRep.from_pairs(g, rep_pairs or ((1, 1),))) for g in (g1, g2))
+    grid = _evaluation_grid(g1.order, max(s1.point_count, s2.point_count))
+    values = s1.f_values(*grid)
+    if s2.f_values(*grid) != values:
+        raise CertificationFailed("fingerprint", "value vectors differ")
+    return _certify(s1, s2, grid, values)

@@ -10,7 +10,9 @@ import pytest
 
 import spaceform.cli
 from spaceform.cli import _check_evaluation_budget
+from spaceform.errors import ParameterOutOfRange
 from spaceform.groups import validate_type1
+from spaceform.search import SearchConfig
 from spaceform.spectra import SumRep
 
 # sha256 of every file `search --nmax 3600 --out` writes, recorded with the
@@ -177,6 +179,15 @@ def test_usage_error_exit_2():
 def test_malformed_input_is_a_usage_error(args):
     proc = run_cli(*args, expect_code=2)
     assert "Traceback" not in proc.stderr and "usage:" in proc.stderr
+
+
+def test_jobs_below_one_is_refused():
+    for jobs in (0, -3):
+        with pytest.raises(ParameterOutOfRange):
+            SearchConfig(n_max=10, jobs=jobs)
+    for command in ("search", "crosscheck"):
+        proc = run_cli(command, "--nmax", "10", "--jobs", "-3", expect_code=2)
+        assert "Traceback" not in proc.stderr and "usage:" in proc.stderr
 
 
 def test_cli_imports_only_public_names():

@@ -2,11 +2,12 @@ import json
 import math
 import os
 import pickle
+import random
 
 import pytest
 
 from spaceform.errors import CertificationFailed, ParameterOutOfRange, SpaceformError
-from spaceform.groups import is_fixed_point_free, validate_type1
+from spaceform.groups import is_fixed_point_free, is_isomorphic, validate_type1
 from spaceform.numtheory import prime_factors
 from spaceform.search import (
     SearchConfig,
@@ -24,6 +25,7 @@ from spaceform.search import (
 from spaceform.spectra import Spectrum, SumRep, _evaluation_grid, evaluate_f_values, \
     choose_prime, root_of_unity, select_points
 
+from oracles import full_vector_certify_pair
 from table1 import TABLE1_ROWS, canonical_row_set
 
 
@@ -224,6 +226,75 @@ def test_certify_pair_search_consistency():
     longer = _certify(s1, s2, grid, s1.f_values(*grid))
     assert len(grid[2]) > 2 * s1.degree_bound + 1
     assert longer.canonical_bytes() == certs[0].canonical_bytes()
+
+
+def _certify_outcome(certify, g1, g2, rep_pairs=None):
+    """The certificate bytes, or (check, detail) of the refutation."""
+    try:
+        return certify(g1, g2, rep_pairs).canonical_bytes()
+    except CertificationFailed as exc:
+        return (exc.check, exc.detail)
+
+
+def test_certify_pair_evaluates_each_class_multiset_once(monkeypatch):
+    # certify_pair screens at one point like the search: a pair sharing its
+    # class multiset costs one full vector, a comparator none.
+    from spaceform import search, spectra
+
+    lengths = []
+
+    def count_evaluations(classes, N, p, root, points):
+        lengths.append(len(points))
+        return evaluate_f_values(classes, N, p, root, points)
+
+    monkeypatch.setattr(search, "evaluate_f_values", count_evaluations)
+    monkeypatch.setattr(spectra, "evaluate_f_values", count_evaluations)
+    g2, g42 = validate_type1(85, 16, 2), validate_type1(85, 16, 42)
+    assert Spectrum.of(SumRep.rho11(g2)).classes == Spectrum.of(SumRep.rho11(g42)).classes
+    cert = certify_pair(g2, g42)
+    assert (cert.r1, cert.r2) == (2, 42)
+    assert len([n for n in lengths if n > search._PREFILTER_POINTS]) == 1
+    for m, n, r1, r2 in ((85, 16, 2, 9), (221, 16, 8, 25)):
+        lengths.clear()
+        outcome = _certify_outcome(certify_pair, validate_type1(m, n, r1), validate_type1(m, n, r2))
+        assert outcome == ("fingerprint", "value vectors differ")
+        assert lengths and max(lengths) <= search._PREFILTER_POINTS
+
+
+def test_certify_pair_matches_full_vector_rule(fpf_pool_2000, monkeypatch):
+    from spaceform import search
+
+    cases = [(validate_type1(m, n, r1), validate_type1(m, n, r2), None)
+             for N, m, n, d, r1, r2 in TABLE1_ROWS if N <= 3600]
+    rng = random.Random(71)
+    units_m = [k for k in range(1, 85) if math.gcd(k, 85) == 1]
+    units_n = [l for l in range(1, 16) if math.gcd(l, 16) == 1]
+    summands = tuple((rng.choice(units_m), rng.choice(units_n)) for _ in range(2))
+    cases.append((validate_type1(85, 16, 2), validate_type1(85, 16, 42), summands))
+    comparators = [(validate_type1(m, n, r1), validate_type1(m, n, r2), None)
+                   for m, n, r1, r2 in ((85, 16, 2, 9), (221, 16, 8, 25))]
+    cases += comparators
+    by_mnd = {}
+    for g in fpf_pool_2000:
+        by_mnd.setdefault((g.m, g.n, g.d), []).append(g)
+    pool_pairs = [(a, b) for members in by_mnd.values()
+                  for i, a in enumerate(members) for b in members[i + 1:] if not is_isomorphic(a, b)]
+    cases += [(a, b, None) for a, b in rng.sample(pool_pairs, 30)]
+    outcomes = [_certify_outcome(certify_pair, *case) for case in cases]
+    assert outcomes == [_certify_outcome(full_vector_certify_pair, *case) for case in cases]
+    assert sum(isinstance(o, bytes) for o in outcomes) >= 5
+
+    # A screen on which every class multiset collides still refutes both
+    # comparators, on their full vectors, and certifies the pair to the same bytes.
+    def colliding_screen(classes, N, p, root, points):
+        if len(points) <= search._PREFILTER_POINTS:
+            return (0,) * len(points)
+        return evaluate_f_values(classes, N, p, root, points)
+
+    monkeypatch.setattr(search, "evaluate_f_values", colliding_screen)
+    for case in comparators:
+        assert _certify_outcome(certify_pair, *case) == ("fingerprint", "value vectors differ")
+    assert _certify_outcome(certify_pair, *cases[0]) == outcomes[0]
 
 
 def test_certify_pair_refutations():

@@ -8,6 +8,7 @@ from spaceform.errors import (
     DegreeMismatch,
     GroupMismatch,
     InvalidRepresentation,
+    ParameterOutOfRange,
     PrimeTooSmall,
     SingularPoint,
 )
@@ -453,6 +454,12 @@ def test_molien_prime_errors():
     # q = 3, dim H_{3,50} = 2601 > 101
     with pytest.raises(PrimeTooSmall):
         molien_coefficients(SumRep.rho11(G54), truncation=50, p=101)
+
+
+def test_molien_negative_truncation_is_refused():
+    with pytest.raises(ParameterOutOfRange):
+        molien_coefficients(SumRep.rho11(G85), truncation=-1)
+    assert molien_coefficients(SumRep.rho11(G85), truncation=0).coefficients == (1,)
 
 
 # --- encode consistency: value equality iff coefficient equality ---------
