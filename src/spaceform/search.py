@@ -6,8 +6,9 @@ Pipeline per order N:
      isomorphism (canonical r);
   2. bucket by the audible invariants (m, n, d, gcd(r^c-1, m) for c | d) --
      groups differing in any of these cannot be isospectral;
-  3. fingerprint multi-member buckets on shared points and refine by the
-     exact value vectors;
+  3. screen multi-member buckets at one point, straight from each group's
+     orbit walk; fingerprint only the groups that collide there on shared
+     points, and refine by the exact value vectors;
   4. certify every unordered pair inside a refined bucket (non-isomorphism,
      fingerprint equality at Spectrum.point_count points, almost-conjugacy).
 """
@@ -37,6 +38,7 @@ from .spectra import (
     SpectrumFingerprint,
     SumRep,
     _evaluation_grid,
+    _screen_value,
     almost_conjugate,
     evaluate_f_values,
 )
@@ -150,11 +152,11 @@ def certify_pair(g1: TypeIParams, g2: TypeIParams, rep_pairs=None) -> PairCertif
     """
     g1, g2 = _ordered_pair(g1, g2)
     rep_pairs = rep_pairs or ((1, 1),)
-    s1, s2 = (Spectrum.of(SumRep.from_pairs(g, rep_pairs)) for g in (g1, g2))
-    buckets, grid = _f_buckets([s1, s2], g1.order)
+    buckets, grid = _f_buckets([SumRep.from_pairs(g, rep_pairs) for g in (g1, g2)], g1.order)
     if len(buckets) != 1:  # one bucket holds both exactly when their values agree
         raise CertificationFailed("fingerprint", "value vectors differ")
-    return _certify(s1, s2, grid, next(iter(buckets)))
+    (values, (s1, s2)), = buckets.items()  # the bucket keeps the reps' order
+    return _certify(s1, s2, grid, values)
 
 
 def _ordered_pair(g1: TypeIParams, g2: TypeIParams) -> tuple[TypeIParams, TypeIParams]:
@@ -194,32 +196,30 @@ def _certify(s1: Spectrum, s2: Spectrum, grid, values) -> PairCertificate:
     )
 
 
-_PREFILTER_POINTS = 1
+def _f_buckets(reps: list[SumRep], N: int):
+    """({F-values: spectra}, grid) for reps of order N, the values on grid,
+    the points of the largest point count among the spectra built.
 
-
-def _f_buckets(spectra: list[Spectrum], N: int):
-    """({F-values: spectra}, grid) for spectra of order N, the values on grid,
-    the points of the largest point count among them.  One point screens
-    first (a chance collision only costs a full vector); only screen
-    collisions get the full vector, on a grid built only then (None if no two
-    collide).  Each distinct class multiset is evaluated once."""
-    by_classes: dict[tuple, list[Spectrum]] = {}
-    for s in spectra:
-        by_classes.setdefault(s.classes, []).append(s)
-    count = max(s.point_count for s in spectra)
-    p, root, prefix = _evaluation_grid(N, min(_PREFILTER_POINTS, count))
-    stage1: dict[tuple, list[tuple]] = {}
-    for classes in by_classes:
-        stage1.setdefault(evaluate_f_values(classes, N, p, root, prefix), []).append(classes)
-    grid = None
+    Each rep is screened at one point straight from its orbit walk
+    (_screen_value).  Only reps that share a screen value get a Spectrum and
+    the full vector, on a grid built only then (None if no two collide); a
+    chance collision only costs a full vector.  Each distinct class multiset
+    is evaluated once, and every bucket keeps the order of reps.
+    """
+    p, root, (z,) = _evaluation_grid(N, 1)
+    screened: dict[int, list[SumRep]] = {}
+    for rep in reps:
+        screened.setdefault(_screen_value(rep, p, root, z), []).append(rep)
+    spectra = [Spectrum.of(rep) for group in screened.values() if len(group) > 1 for rep in group]
+    if not spectra:
+        return {}, None
+    grid = _evaluation_grid(N, max(s.point_count for s in spectra), p)
+    values: dict[tuple, tuple[int, ...]] = {}
     buckets: dict[tuple, list[Spectrum]] = {}
-    for pre in sorted(stage1):
-        survivors = stage1[pre]
-        if sum(len(by_classes[c]) for c in survivors) < 2:
-            continue
-        grid = grid or _evaluation_grid(N, count, p)
-        for classes in survivors:
-            buckets.setdefault(evaluate_f_values(classes, N, *grid), []).extend(by_classes[classes])
+    for s in spectra:
+        if s.classes not in values:
+            values[s.classes] = evaluate_f_values(s.classes, N, *grid)
+        buckets.setdefault(values[s.classes], []).append(s)
     return buckets, grid
 
 
@@ -233,12 +233,12 @@ def _pairs_for_order(N: int) -> list[PairCertificate]:
         members = prebuckets[key]
         if len(members) < 2:
             continue
-        spectra = {g: Spectrum.of(SumRep.rho11(g)) for g in members}
-        buckets, grid = _f_buckets(list(spectra.values()), N)
+        buckets, grid = _f_buckets([SumRep.rho11(g) for g in members], N)
         for values in sorted(buckets):
-            for a, b in combinations(buckets[values], 2):  # every mate has these values
-                g1, g2 = _ordered_pair(a.rep.group, b.rep.group)
-                certs.append(_certify(spectra[g1], spectra[g2], grid, values))
+            mates = {s.rep.group: s for s in buckets[values]}
+            for a, b in combinations(mates, 2):  # every mate has these values
+                g1, g2 = _ordered_pair(a, b)
+                certs.append(_certify(mates[g1], mates[g2], grid, values))
     return certs
 
 

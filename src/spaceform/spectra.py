@@ -271,34 +271,45 @@ def _joint_orbit_factors(rep1: SumRep, rep2: SumRep, L: int):
 # ----------------------------------------------------------------------
 # Determinant classes and the generating function F_G(z) over F_p.
 
-def det_classes(rep: SumRep) -> tuple[tuple[DetFactors, int], ...]:
-    """Group elements bucketed by their det(I - gz) factorization, with counts.
+def _orbit_rows(rep: SumRep):
+    """Per b: (e, terms) of _factor_row and one (u, weight) per orbit of
+    u = a*alpha(b) mod m under u -> u*r, weight the number of elements A^a B^b
+    whose factors the orbit's u gives.
 
-    The factors of A^a B^b depend on a only through u = a*alpha(b) mod m.  As
-    a runs over Z/m, u runs over the multiples of h = gcd(alpha(b), m), each
-    h times, and a = 0 .. m/h - 1 reaches each of them once.  Conjugation by
-    B sends A^a B^b to A^(ar) B^b, so u and u*r share their factors: each
-    orbit of u under multiplication by r is computed once.
+    The factors of A^a B^b depend on a only through u.  As a runs over Z/m,
+    u runs over the multiples of h = gcd(alpha(b), m), each h times.
+    Conjugation by B sends A^a B^b to A^(ar) B^b, so u and u*r share their
+    factors.  The orbits of hZ/m depend only on h, so each h walks them once.
     """
     g = rep.group
-    m, L = g.m, g.order
-    counts: dict[tuple[int, tuple[int, ...]], int] = {}
+    m = g.m
+    by_h: dict[int, list[tuple[int, int]]] = {}
     for b in range(g.n):
-        alpha = _alpha(g, b)
-        h = math.gcd(alpha, m)
-        e, terms = _factor_row(rep, b, L)
-        seen = bytearray(m)
-        for a in range(m // h):
-            u = v = a * alpha % m
-            if seen[u]:
-                continue
-            orbit = 0
-            while not seen[v]:
-                seen[v] = 1
-                orbit += 1
-                v = v * g.r % m
+        h = math.gcd(_alpha(g, b), m)
+        orbits = by_h.get(h)
+        if orbits is None:
+            orbits = by_h[h] = []
+            seen = bytearray(m)
+            for u in range(0, m, h):
+                size, v = 0, u
+                while not seen[v]:
+                    seen[v] = 1
+                    size += 1
+                    v = v * g.r % m
+                if size:
+                    orbits.append((u, h * size))
+        yield (*_factor_row(rep, b, g.order), orbits)
+
+
+def det_classes(rep: SumRep) -> tuple[tuple[DetFactors, int], ...]:
+    """Group elements bucketed by their det(I - gz) factorization, with
+    counts: one factor row per orbit of _orbit_rows."""
+    m, L = rep.group.m, rep.group.order
+    counts: dict[tuple[int, tuple[int, ...]], int] = {}
+    for e, terms, orbits in _orbit_rows(rep):
+        for u, weight in orbits:
             key = (e, tuple(_row_ms(terms, u, m, L)))
-            counts[key] = counts.get(key, 0) + h * orbit
+            counts[key] = counts.get(key, 0) + weight
     return tuple(sorted((tuple((e, M) for M in ms), count) for (e, ms), count in counts.items()))
 
 
@@ -417,22 +428,6 @@ def _class_field_data(classes, p: int, powers):
     return data
 
 
-def _product_dets(classes, p: int, powers, points):
-    """Per point, every class determinant prod (1 - root^M z^e) straight
-    from its factors."""
-    es = {factors[0][0] for factors, _ in classes}
-    for z in points:
-        zp = {e: pow(z, e, p) for e in es}
-        dets = []
-        for factors, _ in classes:
-            x = zp[factors[0][0]]
-            det = 1
-            for _, M in factors:
-                det = det * (1 - powers[M] * x) % p
-            dets.append(det)
-        yield dets
-
-
 def _packed_dets(class_data, D: int, p: int, points):
     """Per point, every class determinant by one Horner pass over all classes.
 
@@ -476,20 +471,44 @@ def _sum_over_classes(counts, dets_per_point, group_order: int, p: int, points) 
 
 def evaluate_f_values(classes, group_order: int, p: int, root: int, points) -> tuple[int, ...]:
     """Exact values of F_G at the given points (classes from det_classes, so
-    every exponent M is below L = group_order).
-
-    Every class determinant has degree D, the rep's degree, in z.  Up to D
-    points are evaluated in product form, which needs no expansion; more
-    points pay for expanding each determinant once and share one packed
-    Horner pass per point.
+    every exponent M is below L = group_order): each class determinant is
+    expanded once, and one packed Horner pass per point evaluates them all.
     """
-    powers = _root_powers(p, root, group_order)
     D = sum(e for e, _ in classes[0][0])
-    if len(points) <= D:
-        dets = _product_dets(classes, p, powers, points)
-    else:
-        dets = _packed_dets(_class_field_data(classes, p, powers), D, p, points)
-    return _sum_over_classes([count for _, count in classes], dets, group_order, p, points)
+    data = _class_field_data(classes, p, _root_powers(p, root, group_order))
+    return _sum_over_classes([count for _, count in classes], _packed_dets(data, D, p, points),
+                             group_order, p, points)
+
+
+def _screen_value(rep: SumRep, p: int, root: int, z: int) -> int:
+    """F_G(z) at one point straight from the orbit walk, with no classes.
+
+    root^M = zeta^[u*kr]_m * root^w (_factor_row), zeta = root^(L/m) and
+    root^w a power of omega = root^(L*d/n), so tables of m and n/d powers
+    stand in for the L powers of root.  The factors come in pairs (e, +-M),
+    each giving 1 - (root^M + root^-M) X + X^2 with X = z^e.  The sum is kept
+    as one fraction num/den, so the point costs one modular inverse.
+    """
+    g = rep.group
+    m, L, nd = g.m, g.order, g.n // g.d
+    w_unit = L // nd
+    zetas = _root_powers(p, pow(root, L // m, p), m)
+    omegas = _root_powers(p, pow(root, w_unit, p), nd)
+    num, den = 0, 1
+    for e, terms, orbits in _orbit_rows(rep):
+        x = pow(z, e, p)
+        c = 1 + x * x
+        pairs = [(kr, omegas[w // w_unit] * x % p, omegas[-(w // w_unit)] * x % p) for kr, w in terms]
+        for u, weight in orbits:
+            det = 1
+            for kr, ox, ox_inv in pairs:
+                j = u * kr % m
+                det = det * ((c - zetas[j] * ox - zetas[-j] * ox_inv) % p) % p
+            num = (num * det + weight * den) % p
+            den = den * det % p
+    if den == 0:
+        raise SingularPoint(f"z = {z} is a pole of some det(I - gz)")
+    return (1 - z * z) * num * pow(den * L, -1, p) % p
 
 
 @dataclass(frozen=True)

@@ -22,8 +22,8 @@ from spaceform.search import (
     run_search,
     theorem42_witness,
 )
-from spaceform.spectra import Spectrum, SumRep, _evaluation_grid, evaluate_f_values, \
-    choose_prime, root_of_unity, select_points
+from spaceform.spectra import Spectrum, SumRep, _evaluation_grid, _screen_value, det_classes, \
+    evaluate_f_values, choose_prime, root_of_unity, select_points
 
 from oracles import full_vector_certify_pair
 from table1 import TABLE1_ROWS, canonical_row_set
@@ -107,63 +107,87 @@ def test_prebucket_pipeline_matches_naive_all_pairs():
     assert {(c.N, c.m, c.n, c.d, c.r1, c.r2) for c in certs} == {(1360, 85, 16, 8, 2, 42)}
 
 
+def _multi_member_groups(N):
+    """The groups of order N that share their audible invariants with another."""
+    buckets = {}
+    for g in enumerate_canonical(N):
+        buckets.setdefault(audible_invariants(g), []).append(g)
+    return [g for members in buckets.values() if len(members) > 1 for g in members]
+
+
 def test_pairs_for_order_evaluates_each_class_multiset_once(monkeypatch):
     from spaceform import search, spectra
 
-    evaluated, point_counts = [], []
+    screened, evaluated, point_counts = [], [], []
+
+    def count_screens(rep, p, root, z):
+        screened.append(rep.group)
+        return _screen_value(rep, p, root, z)
 
     def count_evaluations(classes, N, p, root, points):
-        evaluated.append((classes, len(points)))
+        evaluated.append(classes)
         return evaluate_f_values(classes, N, p, root, points)
 
     def count_points(p, L, count):
         point_counts.append(count)
         return select_points(p, L, count)
 
+    monkeypatch.setattr(search, "_screen_value", count_screens)
     monkeypatch.setattr(search, "evaluate_f_values", count_evaluations)
     monkeypatch.setattr(spectra, "select_points", count_points)
-    buckets = {}
-    for g in enumerate_canonical(1360):
-        buckets.setdefault(audible_invariants(g), []).append(g)
-    distinct = {Spectrum.of(SumRep.rho11(g)).classes
-                for members in buckets.values() if len(members) > 1 for g in members}
+    multi = _multi_member_groups(1360)
     certs = search._pairs_for_order(1360)
     assert [(c.r1, c.r2) for c in certs] == [(2, 42)]
-    prefilter = [classes for classes, count in evaluated if count <= 16]
-    full = [classes for classes, count in evaluated if count > 16]
-    assert len(prefilter) == len(set(prefilter)) and set(prefilter) == distinct
+    # One screen per member of a multi-member bucket.
+    assert len(screened) == len(multi) and set(screened) == set(multi)
     # 2 and 42 share one class multiset: one full evaluation serves the pair.
-    assert full == [Spectrum.of(SumRep.rho11(validate_type1(85, 16, 2))).classes]
-    assert full == [Spectrum.of(SumRep.rho11(validate_type1(85, 16, 42))).classes]
+    assert evaluated == [Spectrum.of(SumRep.rho11(validate_type1(85, 16, 2))).classes]
+    assert evaluated == [Spectrum.of(SumRep.rho11(validate_type1(85, 16, 42))).classes]
     assert len([count for count in point_counts if count > 16]) == 1
-    # No prefilter collision at 520: no full-length point list is built.
+    # No screen collision at 520: no full-length point list is built.
+    screened.clear()
     evaluated.clear()
     point_counts.clear()
     assert search._pairs_for_order(520) == []
     assert point_counts and all(count <= 16 for count in point_counts)
-    assert evaluated and all(count <= 16 for _, count in evaluated)
+    assert screened and evaluated == []
+
+
+def test_pairs_for_order_builds_spectra_only_for_screen_colliders(monkeypatch):
+    # Only groups that share a screen value get determinant classes: at 1360
+    # the pair, at 520 no group, although both orders hold multi-member buckets.
+    from spaceform import spectra
+
+    built = []
+
+    def count_det_classes(rep):
+        built.append(rep.group)
+        return det_classes(rep)
+
+    monkeypatch.setattr(spectra, "det_classes", count_det_classes)
+    assert len(_multi_member_groups(1360)) > 2 and _multi_member_groups(520)
+    assert [(c.r1, c.r2) for c in _pairs_for_order(1360)] == [(2, 42)]
+    assert sorted((g.m, g.n, g.r) for g in built) == [(85, 16, 2), (85, 16, 42)]
+    built.clear()
+    assert _pairs_for_order(520) == []
+    assert built == []
 
 
 def test_pairs_for_order_survives_screen_collisions(monkeypatch):
-    # A screen that lets every distinct class tuple collide at its one point
-    # sends each tuple to one full evaluation; the full values still keep
-    # every non-isospectral group apart.
+    # A screen on which every group collides sends each distinct class tuple
+    # to one full evaluation; the full values still keep every
+    # non-isospectral group apart.
     from spaceform import search
 
     full = []
 
-    def colliding_screen(classes, N, p, root, points):
-        if len(points) <= search._PREFILTER_POINTS:
-            return (0,) * len(points)
+    def count_evaluations(classes, N, p, root, points):
         full.append(classes)
         return evaluate_f_values(classes, N, p, root, points)
 
-    monkeypatch.setattr(search, "evaluate_f_values", colliding_screen)
-    buckets = {}
-    for g in enumerate_canonical(1360):
-        buckets.setdefault(audible_invariants(g), []).append(g)
-    distinct = {Spectrum.of(SumRep.rho11(g)).classes
-                for members in buckets.values() if len(members) > 1 for g in members}
+    monkeypatch.setattr(search, "_screen_value", lambda rep, p, root, z: 0)
+    monkeypatch.setattr(search, "evaluate_f_values", count_evaluations)
+    distinct = {Spectrum.of(SumRep.rho11(g)).classes for g in _multi_member_groups(1360)}
     assert len(distinct) > 2
     assert [(c.r1, c.r2) for c in search._pairs_for_order(1360)] == [(2, 42)]
     assert len(full) == len(set(full)) and set(full) == distinct
@@ -241,24 +265,30 @@ def test_certify_pair_evaluates_each_class_multiset_once(monkeypatch):
     # class multiset costs one full vector, a comparator none.
     from spaceform import search, spectra
 
-    lengths = []
+    screens, lengths = [], []
+
+    def count_screens(rep, p, root, z):
+        screens.append(rep.group)
+        return _screen_value(rep, p, root, z)
 
     def count_evaluations(classes, N, p, root, points):
         lengths.append(len(points))
         return evaluate_f_values(classes, N, p, root, points)
 
+    monkeypatch.setattr(search, "_screen_value", count_screens)
     monkeypatch.setattr(search, "evaluate_f_values", count_evaluations)
     monkeypatch.setattr(spectra, "evaluate_f_values", count_evaluations)
     g2, g42 = validate_type1(85, 16, 2), validate_type1(85, 16, 42)
     assert Spectrum.of(SumRep.rho11(g2)).classes == Spectrum.of(SumRep.rho11(g42)).classes
     cert = certify_pair(g2, g42)
     assert (cert.r1, cert.r2) == (2, 42)
-    assert len([n for n in lengths if n > search._PREFILTER_POINTS]) == 1
+    assert len(screens) == 2 and len(lengths) == 1
     for m, n, r1, r2 in ((85, 16, 2, 9), (221, 16, 8, 25)):
+        screens.clear()
         lengths.clear()
         outcome = _certify_outcome(certify_pair, validate_type1(m, n, r1), validate_type1(m, n, r2))
         assert outcome == ("fingerprint", "value vectors differ")
-        assert lengths and max(lengths) <= search._PREFILTER_POINTS
+        assert len(screens) == 2 and lengths == []
 
 
 def test_certify_pair_matches_full_vector_rule(fpf_pool_2000, monkeypatch):
@@ -284,16 +314,20 @@ def test_certify_pair_matches_full_vector_rule(fpf_pool_2000, monkeypatch):
     assert outcomes == [_certify_outcome(full_vector_certify_pair, *case) for case in cases]
     assert sum(isinstance(o, bytes) for o in outcomes) >= 5
 
-    # A screen on which every class multiset collides still refutes both
-    # comparators, on their full vectors, and certifies the pair to the same bytes.
-    def colliding_screen(classes, N, p, root, points):
-        if len(points) <= search._PREFILTER_POINTS:
-            return (0,) * len(points)
+    # A screen on which every pair collides still refutes both comparators,
+    # on their full vectors, and certifies the pair to the same bytes.
+    full = []
+
+    def count_evaluations(classes, N, p, root, points):
+        full.append(classes)
         return evaluate_f_values(classes, N, p, root, points)
 
-    monkeypatch.setattr(search, "evaluate_f_values", colliding_screen)
+    monkeypatch.setattr(search, "_screen_value", lambda rep, p, root, z: 0)
+    monkeypatch.setattr(search, "evaluate_f_values", count_evaluations)
     for case in comparators:
+        full.clear()
         assert _certify_outcome(certify_pair, *case) == ("fingerprint", "value vectors differ")
+        assert len(full) == 2  # the collision was forced: both full vectors
     assert _certify_outcome(certify_pair, *cases[0]) == outcomes[0]
 
 

@@ -18,6 +18,7 @@ from spaceform.spectra import (
     Spectrum,
     SumRep,
     _molien_from_classes,
+    _screen_value,
     almost_conjugate,
     char_poly_exponents,
     choose_prime,
@@ -343,7 +344,7 @@ def test_fingerprint_root_choice_does_not_change_values():
 
 
 def test_evaluation_order_invariance():
-    # 4 points take the product form, 10 the packed Horner pass (degree 4).
+    # 4 points, the degree, and 10 points past it, on the packed Horner pass.
     classes = det_classes(SumRep.rho11(G54))
     p = choose_prime(20)
     root = root_of_unity(p, 20)
@@ -354,9 +355,8 @@ def test_evaluation_order_invariance():
 
 
 def _assert_matches_reference(rep, counts, extra_points=()):
-    # Both evaluator paths against the reference evaluator, in both class
-    # orders: up to degree points take the product form, more points the
-    # packed Horner pass.
+    # The evaluator against the reference evaluator, in both class orders, on
+    # point counts up to the degree and past it.
     classes = det_classes(rep)
     L = rep.group.order
     assert max(counts) > rep.degree >= min(counts)
@@ -395,9 +395,34 @@ def test_singular_point_raises():
     bad = pow(root, 20 - 5, p)  # inverse of the eigenvalue zeta^5 of B
     with pytest.raises(SingularPoint):
         evaluate_f_values(det_classes(sr), 20, p, root, (bad,))
-    # The packed Horner pass (more points than the degree 4) as well.
+    # Past the degree 4 in points as well, and the one-point screen.
     with pytest.raises(SingularPoint):
         evaluate_f_values(det_classes(sr), 20, p, root, select_points(p, 20, 4) + (bad,))
+    with pytest.raises(SingularPoint):
+        _screen_value(sr, p, root, bad)
+
+
+def test_screen_value_matches_evaluator_and_reference(fpf_pool_2000):
+    # The one-point screen, straight from the orbit walk with no classes,
+    # against the class evaluator and the reference evaluator on the element
+    # walk's classes: seeded pool groups, three-summand sums and every
+    # Table-1 group to 8000, at points below p and at or above it.
+    rng = random.Random(79)
+    reps = [SumRep.rho11(g) for g in rng.sample(fpf_pool_2000, 60)]
+    reps += _random_sum_reps(rng, fpf_pool_2000, 40)
+    table1 = {validate_type1(m, n, r) for N, m, n, d, r1, r2 in TABLE1_ROWS if N <= 8000 for r in (r1, r2)}
+    assert len(table1) == 20
+    reps += [SumRep.rho11(g) for g in sorted(table1, key=lambda g: (g.m, g.n, g.r))]
+    for rep in reps:
+        L = rep.group.order
+        p = choose_prime(L)
+        root = root_of_unity(p, L)
+        high = tuple(z for z in (p, p + 2, 2 * p + 3) if pow(z, L, p) != 1)
+        points = select_points(p, L, 2) + high
+        assert len(high) >= 2
+        expected = reference_f_values(element_walk_det_classes(rep), L, p, root, points)
+        assert evaluate_f_values(det_classes(rep), L, p, root, points) == expected, rep
+        assert tuple(_screen_value(rep, p, root, z) for z in points) == expected, rep
 
 
 def test_shared_fingerprints_requires_equal_order():
