@@ -213,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--jobs", type=positive, default=1)
 
     sp = add("construct", _cmd_construct, "Theorem-4.2 pairs (n = 2d, r1 r2 = -1) up to mmax")
-    sp.add_argument("--mmax", type=int, required=True)
+    sp.add_argument("--mmax", type=positive, required=True)
     sp.add_argument("--out", type=str, default=None)
 
     sp = add("crosscheck", _cmd_crosscheck, "flag every found pair with Theorem-4.2 applicability")

@@ -2,10 +2,11 @@
 with non-isomorphic Type I fundamental groups, and pair certification.
 
 Pipeline per order N:
-  1. enumerate all non-cyclic fixed-point-free Type I groups of order N up to
-     isomorphism (canonical r);
-  2. bucket by the audible invariants (m, n, d, gcd(r^c-1, m) for c | d) --
+  1. walk the buckets of the audible invariants (m, n, d, gcd(r^c-1, m) for
+     c | d) of the non-cyclic fixed-point-free Type I groups of order N,
+     straight from the torsion of Z_m^x, with the number of groups in each --
      groups differing in any of these cannot be isospectral;
+  2. build the groups (canonical r) only of buckets that hold two or more;
   3. screen multi-member buckets at one point, straight from each group's
      orbit walk; fingerprint only the groups that collide there on shared
      points, and refine by the exact value vectors;
@@ -21,18 +22,25 @@ import math
 import multiprocessing
 import os
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, product
 
 from .errors import CertificationFailed, GroupMismatch, ParameterOutOfRange
 from .groups import (
     TypeIParams,
     canonical_r,
-    is_canonical,
     is_isomorphic,
     r_generators,
     validate_type1,
 )
-from .numtheory import carmichael, divisors, multiplicative_order, prime_factors, torsion_elements
+from .numtheory import (
+    carmichael,
+    crt_pair,
+    divisors,
+    factorint,
+    multiplicative_order,
+    primitive_root,
+    torsion_elements,
+)
 from .spectra import (
     Spectrum,
     SpectrumFingerprint,
@@ -92,31 +100,57 @@ class PairCertificate:
 
 
 def enumerate_canonical(N: int) -> list[TypeIParams]:
-    """All non-cyclic fixed-point-free Type I groups of order N, canonical r.
+    """All non-cyclic fixed-point-free Type I groups of order N, canonical r:
+    the members of every audible bucket of N, ascending (m, n, d, r)."""
+    groups = [g for bucket, _ in _audible_buckets(N) for g in _bucket_members(*bucket)]
+    return sorted(groups, key=lambda g: (g.m, g.n, g.d, g.r))
 
-    Conditions: N = m*n, gcd((r-1)n, m) = 1, d = ord_m(r) | n, d != 1, every
-    prime of d divides n/d, and r minimal among [r^c]_m with gcd(c, d) = 1.
+
+def _audible_buckets(N: int):
+    """((m, n, d, orders), size) for every audible bucket of order N.
+
+    For N = m*n (m odd, gcd(m, n) = 1) the n-torsion of Z_m^x is the product
+    over p^e || m of cyclic groups of order gcd(n, p - 1).  An r with
+    component orders orders = (o_p) has gcd(r - 1, m) = 1 iff every o_p > 1,
+    d = lcm(o_p), and gcd(r^c - 1, m) is the product of the p^e with o_p | c:
+    the audible invariants are exactly (m, n, orders).  Isomorphism classes
+    are the subgroups <r>, so a fixed-point-free bucket holds
+    prod phi(o_p) / phi(d) groups.
     """
-    out = []
     for m in divisors(N):
-        if m < 3 or m % 2 == 0:
-            continue
         n = N // m
-        if math.gcd(m, n) != 1:
+        if m < 3 or m % 2 == 0 or math.gcd(m, n) != 1:
             continue
-        for r in torsion_elements(m, n):
-            if r == 1 or math.gcd(r - 1, m) != 1:
+        choices = [divisors(math.gcd(n, p - 1))[1:] for p in factorint(m)]
+        for orders in product(*choices):
+            d = math.lcm(*orders)
+            if any(n // d % q for q in factorint(d)):  # not fixed point free
                 continue
-            d = multiplicative_order(r, m)
-            if d == 1:
-                continue
-            nd = n // d
-            if any(nd % p for p in prime_factors(d)):
-                continue
-            g = validate_type1(m, n, r)
-            if is_canonical(g):
-                out.append(g)
-    return sorted(out, key=lambda g: (g.m, g.n, g.d, g.r))
+            yield (m, n, d, orders), math.prod(map(_totient, orders)) // _totient(d)
+
+
+def _bucket_members(m: int, n: int, d: int, orders: tuple[int, ...]) -> list[TypeIParams]:
+    """The groups of the bucket (m, n, orders): the elements with those
+    component orders, combined by CRT, grouped into subgroups <r> of order d;
+    the least element of each is its canonical r."""
+    residues = [(0, 1)]  # (value mod modulus, modulus)
+    for (p, e), o in zip(factorint(m).items(), orders):
+        q = p**e
+        h = pow(primitive_root(q), (p - 1) * p ** (e - 1) // o, q)  # generates the order-o subgroup
+        block = [pow(h, k, q) for k in range(o) if math.gcd(k, o) == 1]
+        residues = [(crt_pair(a, mod, b, q), mod * q) for a, mod in residues for b in block]
+    members, seen = [], set()
+    for r in sorted(a for a, _ in residues):
+        if r not in seen:
+            members.append(validate_type1(m, n, r))
+            seen.update(r_generators(members[-1]))
+    return members
+
+
+def _totient(k: int) -> int:
+    for p in factorint(k):
+        k = k // p * (p - 1)
+    return k
 
 
 def audible_invariants(g: TypeIParams) -> tuple:
@@ -224,16 +258,11 @@ def _f_buckets(reps: list[SumRep], N: int):
 
 
 def _pairs_for_order(N: int) -> list[PairCertificate]:
-    groups = enumerate_canonical(N)
-    prebuckets: dict[tuple, list[TypeIParams]] = {}
-    for g in groups:
-        prebuckets.setdefault(audible_invariants(g), []).append(g)
     certs = []
-    for key in sorted(prebuckets):
-        members = prebuckets[key]
-        if len(members) < 2:
+    for bucket, size in _audible_buckets(N):
+        if size < 2:
             continue
-        buckets, grid = _f_buckets([SumRep.rho11(g) for g in members], N)
+        buckets, grid = _f_buckets([SumRep.rho11(g) for g in _bucket_members(*bucket)], N)
         for values in sorted(buckets):
             mates = {s.rep.group: s for s in buckets[values]}
             for a, b in combinations(mates, 2):  # every mate has these values
@@ -248,7 +277,9 @@ def _search_worker(N: int) -> list[PairCertificate]:
 
 def run_search(cfg: SearchConfig) -> list[PairCertificate]:
     """Certified isospectral pairs for all orders N <= n_max, ascending (N, m, r1)."""
-    orders = range(2, cfg.n_max + 1)
+    # Largest first: the heaviest orders are near n_max, and a pool that
+    # reached them last would leave its other workers idle.
+    orders = range(cfg.n_max, 1, -1)
     if cfg.jobs > 1:
         with multiprocessing.Pool(cfg.jobs) as pool:
             chunks = pool.map(_search_worker, orders, chunksize=64)

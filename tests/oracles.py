@@ -11,11 +11,15 @@ library against.  Nothing in src/ imports this module.
 - Pair certification by the full-vector rule: both complete value vectors
   evaluated and compared, with no screen.
 - Helpers on eigenvalue exponent multisets.
+- The torsion scan: canonical groups from every r of the n-torsion of Z_m^x,
+  each validated and tested for canonicity.
 """
 
 import math
 
 from spaceform.errors import BadPrime, CertificationFailed, GroupMismatch, SingularPoint
+from spaceform.groups import is_canonical, validate_type1
+from spaceform.numtheory import divisors, multiplicative_order, prime_factors, torsion_elements
 from spaceform.search import _certify, _ordered_pair
 from spaceform.spectra import EigenExponentMultiset, Spectrum, SumRep, _alpha, _evaluation_grid, root_of_unity
 
@@ -224,3 +228,33 @@ def full_vector_certify_pair(g1, g2, rep_pairs=None):
     if s2.f_values(*grid) != values:
         raise CertificationFailed("fingerprint", "value vectors differ")
     return _certify(s1, s2, grid, values)
+
+
+# --- canonical groups by the torsion scan ----------------------------------
+
+def torsion_scan_canonical(N):
+    """All non-cyclic fixed-point-free Type I groups of order N, canonical r.
+
+    Conditions: N = m*n, gcd((r-1)n, m) = 1, d = ord_m(r) | n, d != 1, every
+    prime of d divides n/d, and r minimal among [r^c]_m with gcd(c, d) = 1.
+    """
+    out = []
+    for m in divisors(N):
+        if m < 3 or m % 2 == 0:
+            continue
+        n = N // m
+        if math.gcd(m, n) != 1:
+            continue
+        for r in torsion_elements(m, n):
+            if r == 1 or math.gcd(r - 1, m) != 1:
+                continue
+            d = multiplicative_order(r, m)
+            if d == 1:
+                continue
+            nd = n // d
+            if any(nd % p for p in prime_factors(d)):
+                continue
+            g = validate_type1(m, n, r)
+            if is_canonical(g):
+                out.append(g)
+    return sorted(out, key=lambda g: (g.m, g.n, g.d, g.r))

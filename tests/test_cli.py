@@ -137,10 +137,11 @@ def test_search_no_pairs(tmp_path):
     assert (out_dir / "pairs.csv").read_text().strip() == "N,m,n,d,r1,r2,theorem42"
 
 
-def test_search_artifacts_match_recorded_hashes(tmp_path, monkeypatch):
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_search_artifacts_match_recorded_hashes(tmp_path, monkeypatch, jobs):
     monkeypatch.delenv("SPACEFORM_PRIME_SEED", raising=False)
     out_dir = tmp_path / "s"
-    run_cli("search", "--nmax", "3600", "--out", str(out_dir))
+    run_cli("search", "--nmax", "3600", "--jobs", jobs, "--out", str(out_dir))
     got = {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest() for name in os.listdir(out_dir)}
     assert got == SEARCH_3600_SHA256
 
@@ -175,6 +176,7 @@ def test_usage_error_exit_2():
     ("search", "--nmax", "0"),
     ("fingerprint", "85", "16", "2", "--kmolien", "-1"),
     ("certify-pair", "85", "16", "2", "42", "--kmolien", "-3"),
+    ("construct", "--mmax", "-5"),
 ])
 def test_malformed_input_is_a_usage_error(args):
     proc = run_cli(*args, expect_code=2)

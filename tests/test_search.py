@@ -8,9 +8,11 @@ import pytest
 
 from spaceform.errors import CertificationFailed, ParameterOutOfRange, SpaceformError
 from spaceform.groups import is_fixed_point_free, is_isomorphic, validate_type1
-from spaceform.numtheory import prime_factors
+from spaceform.numtheory import divisors, factorint, prime_factors
 from spaceform.search import (
     SearchConfig,
+    _audible_buckets,
+    _bucket_members,
     _certify,
     _pairs_for_order,
     audible_invariants,
@@ -25,7 +27,7 @@ from spaceform.search import (
 from spaceform.spectra import Spectrum, SumRep, _evaluation_grid, _screen_value, det_classes, \
     evaluate_f_values, choose_prime, root_of_unity, select_points
 
-from oracles import full_vector_certify_pair
+from oracles import full_vector_certify_pair, torsion_scan_canonical
 from table1 import TABLE1_ROWS, canonical_row_set
 
 
@@ -86,6 +88,42 @@ def test_audible_invariants_separate_comparator():
     assert audible_invariants(g2) != audible_invariants(g9)
 
 
+def test_enumerate_canonical_matches_torsion_scan():
+    for N in range(2, 2001):
+        assert enumerate_canonical(N) == torsion_scan_canonical(N), N
+
+
+def _phi(k):
+    return sum(1 for j in range(1, k + 1) if math.gcd(j, k) == 1)
+
+
+def _walk_key(m, n, d, orders):
+    """The audible invariants of a group whose component orders are orders."""
+    powers = [p**e for p, e in factorint(m).items()]
+    us = tuple(math.prod(q for q, o in zip(powers, orders) if c % o == 0) for c in divisors(d))
+    return (m, n, d, us)
+
+
+def test_audible_buckets_match_torsion_scan():
+    # Every bucket of the walk, by its invariants and size, is a bucket of the
+    # torsion scan; the multi-member ones also by their members.
+    for N in random.Random(2026).sample(range(2, 30001), 200):
+        scanned = {}
+        for g in torsion_scan_canonical(N):
+            scanned.setdefault(audible_invariants(g), []).append(g)
+        walked = {}
+        for (m, n, d, orders), size in _audible_buckets(N):
+            assert d == math.lcm(*orders) and min(orders) > 1
+            assert size == math.prod(map(_phi, orders)) // _phi(d)
+            key = _walk_key(m, n, d, orders)
+            walked[key] = size
+            if size > 1:
+                members = _bucket_members(m, n, d, orders)
+                assert {audible_invariants(g) for g in members} == {key}
+                assert members == scanned[key]
+        assert walked == {key: len(members) for key, members in scanned.items()}, N
+
+
 def test_prebucket_pipeline_matches_naive_all_pairs():
     # Full-strength comparison of all 13 canonical groups of order 1360 on
     # one shared point list must find exactly the {2, 42} pair.
@@ -110,7 +148,7 @@ def test_prebucket_pipeline_matches_naive_all_pairs():
 def _multi_member_groups(N):
     """The groups of order N that share their audible invariants with another."""
     buckets = {}
-    for g in enumerate_canonical(N):
+    for g in torsion_scan_canonical(N):
         buckets.setdefault(audible_invariants(g), []).append(g)
     return [g for members in buckets.values() if len(members) > 1 for g in members]
 
@@ -171,6 +209,29 @@ def test_pairs_for_order_builds_spectra_only_for_screen_colliders(monkeypatch):
     built.clear()
     assert _pairs_for_order(520) == []
     assert built == []
+
+
+def test_pairs_for_order_builds_only_multi_member_buckets(monkeypatch):
+    # The search walks the audible buckets itself: it neither enumerates
+    # every group nor tests canonicity, and builds only groups that can pair.
+    from spaceform import groups, search
+
+    def refuse(*args):
+        raise AssertionError("the search enumerated or canonicalised every group")
+
+    built = []
+    init = groups.TypeIParams.__init__
+
+    def count_builds(self, *args):
+        init(self, *args)
+        built.append(self)
+
+    multi = set(_multi_member_groups(1360))
+    monkeypatch.setattr(search, "enumerate_canonical", refuse)
+    monkeypatch.setattr(groups, "is_canonical", refuse)
+    monkeypatch.setattr(groups.TypeIParams, "__init__", count_builds)
+    assert [(c.r1, c.r2) for c in _pairs_for_order(1360)] == [(2, 42)]
+    assert set(built) == multi and len(multi) < len(torsion_scan_canonical(1360))
 
 
 def test_pairs_for_order_survives_screen_collisions(monkeypatch):
