@@ -3,14 +3,17 @@
 Subcommands: validate, orders, isomorphic, fingerprint, certify-pair,
 search, construct, crosscheck.  Payloads are JSON (indented by default,
 canonical one-line bytes with --json); diagnostics go to stderr; exit code 0
-iff status is ok.  SPACEFORM_PRIME_SEED shifts the deterministic prime scan
-and thereby breaks byte-reproducibility between differently-seeded runs.
+iff status is ok.  Library errors and OSErrors (an --out path that cannot be
+a directory) become an error record with exit code 1.  SPACEFORM_PRIME_SEED
+shifts the deterministic prime scan and thereby breaks byte-reproducibility
+between differently-seeded runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass, field
 
@@ -162,6 +165,8 @@ def _cmd_search(args, diags) -> CommandResult:
 
 
 def _cmd_construct(args, diags) -> CommandResult:
+    if args.out:
+        os.makedirs(args.out, exist_ok=True)  # a bad path fails before the construction
     certs = construct_theorem42_pairs(args.mmax)
     if args.out:
         write_results(args.out, certs)
@@ -228,7 +233,7 @@ def main(argv=None) -> int:
     diags: list[str] = []
     try:
         result = args.handler(args, diags)
-    except SpaceformError as exc:
+    except (SpaceformError, OSError) as exc:
         result = CommandResult("error", {"error": type(exc).__name__, "message": str(exc)},
                                diags + [str(exc)])
     if args.json:

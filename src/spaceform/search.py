@@ -27,7 +27,6 @@ from itertools import combinations, product
 from .errors import CertificationFailed, GroupMismatch, ParameterOutOfRange
 from .groups import (
     TypeIParams,
-    canonical_r,
     is_isomorphic,
     r_generators,
     validate_type1,
@@ -37,7 +36,6 @@ from .numtheory import (
     crt_pair,
     divisors,
     factorint,
-    multiplicative_order,
     primitive_root,
     torsion_elements,
 )
@@ -107,26 +105,30 @@ def enumerate_canonical(N: int) -> list[TypeIParams]:
 
 
 def _audible_buckets(N: int):
-    """((m, n, d, orders), size) for every audible bucket of order N.
-
-    For N = m*n (m odd, gcd(m, n) = 1) the n-torsion of Z_m^x is the product
-    over p^e || m of cyclic groups of order gcd(n, p - 1).  An r with
-    component orders orders = (o_p) has gcd(r - 1, m) = 1 iff every o_p > 1,
-    d = lcm(o_p), and gcd(r^c - 1, m) is the product of the p^e with o_p | c:
-    the audible invariants are exactly (m, n, orders).  Isomorphism classes
-    are the subgroups <r>, so a fixed-point-free bucket holds
-    prod phi(o_p) / phi(d) groups.
-    """
+    """((m, n, d, orders), size) for every audible bucket of order N (_buckets)."""
     for m in divisors(N):
         n = N // m
-        if m < 3 or m % 2 == 0 or math.gcd(m, n) != 1:
+        if m >= 3 and m % 2 and math.gcd(m, n) == 1:
+            yield from _buckets(m, n)
+
+
+def _buckets(m: int, n: int):
+    """((m, n, d, orders), size) for every audible bucket of (m, n), m odd
+    and gcd(m, n) = 1.
+
+    The n-torsion of Z_m^x is the product over p^e || m of cyclic groups of
+    order gcd(n, p - 1).  An r with component orders orders = (o_p) has
+    gcd(r - 1, m) = 1 iff every o_p > 1, d = lcm(o_p), and gcd(r^c - 1, m) is
+    the product of the p^e with o_p | c: the audible invariants are exactly
+    (m, n, orders).  Isomorphism classes are the subgroups <r>, so a
+    fixed-point-free bucket holds prod phi(o_p) / phi(d) groups.
+    """
+    choices = [divisors(math.gcd(n, p - 1))[1:] for p in factorint(m)]
+    for orders in product(*choices):
+        d = math.lcm(*orders)
+        if any(n // d % q for q in factorint(d)):  # not fixed point free
             continue
-        choices = [divisors(math.gcd(n, p - 1))[1:] for p in factorint(m)]
-        for orders in product(*choices):
-            d = math.lcm(*orders)
-            if any(n // d % q for q in factorint(d)):  # not fixed point free
-                continue
-            yield (m, n, d, orders), math.prod(map(_totient, orders)) // _totient(d)
+        yield (m, n, d, orders), math.prod(map(_totient, orders)) // _totient(d)
 
 
 def _bucket_members(m: int, n: int, d: int, orders: tuple[int, ...]) -> list[TypeIParams]:
@@ -185,7 +187,8 @@ def certify_pair(g1: TypeIParams, g2: TypeIParams, rep_pairs=None) -> PairCertif
     Raises CertificationFailed naming the first failing check.
     """
     g1, g2 = _ordered_pair(g1, g2)
-    rep_pairs = rep_pairs or ((1, 1),)
+    if rep_pairs is None:
+        rep_pairs = ((1, 1),)
     buckets, grid = _f_buckets([SumRep.from_pairs(g, rep_pairs) for g in (g1, g2)], g1.order)
     if len(buckets) != 1:  # one bucket holds both exactly when their values agree
         raise CertificationFailed("fingerprint", "value vectors differ")
@@ -277,6 +280,8 @@ def _search_worker(N: int) -> list[PairCertificate]:
 
 def run_search(cfg: SearchConfig) -> list[PairCertificate]:
     """Certified isospectral pairs for all orders N <= n_max, ascending (N, m, r1)."""
+    if cfg.output_path:  # a bad path fails before any order is searched
+        os.makedirs(cfg.output_path, exist_ok=True)
     # Largest first: the heaviest orders are near n_max, and a pool that
     # reached them last would leave its other workers idle.
     orders = range(cfg.n_max, 1, -1)
@@ -310,43 +315,31 @@ def construct_theorem42_pairs(m_max: int, d_values=None) -> list[PairCertificate
     """Pairs Gamma_d(m, 2d, r1), Gamma_d(m, 2d, r2) with r1*r2 = -1 mod m.
 
     d runs over powers of two >= 8 (d in {1, 2, 4} provably gives cyclic or
-    isomorphic groups); r2 = -r1^-1 must also have order d, and the groups
-    must be non-isomorphic.  Every emitted pair is fully certified.
+    isomorphic groups), or over d_values, which must be powers of two: other
+    d give groups with n = 2d that are not fixed point free.  The groups are
+    the members of the audible buckets of (m, 2d) with lcm(orders) = d.  The
+    partner (-r1^-1)^c of a generator r1^c (c odd) generates <-r1^-1>, so one
+    partner per group is enough.  It lies in r1's bucket when every o_p >= 4;
+    when some o_p = 2 it is 1 mod p^e, so in no group.  Every pair is certified.
     """
-    seen: set[tuple] = set()
+    if d_values is not None:
+        d_values = set(d_values)
+        if any(d < 1 or d & (d - 1) for d in d_values):
+            raise ParameterOutOfRange(f"d_values must be powers of two, got {sorted(d_values)}")
     certs = []
     for m in range(3, m_max + 1, 2):
         lam = carmichael(m)
-        if d_values is None:
-            ds = []
-            d = 8
-            while d <= lam:
-                ds.append(d)
-                d *= 2
-        else:
-            ds = list(d_values)
+        ds = [8 << k for k in range(lam.bit_length()) if 8 << k <= lam] if d_values is None else d_values
         for d in ds:
-            if lam % d:
-                continue
-            n = 2 * d
-            for r1 in torsion_elements(m, d):
-                if r1 <= 1 or math.gcd(r1 - 1, m) != 1:
+            for (_, n, order, orders), size in _buckets(m, 2 * d):
+                if order != d or size < 2:
                     continue
-                if multiplicative_order(r1, m) != d:
-                    continue
-                r2 = (-pow(r1, -1, m)) % m
-                if math.gcd(r2 - 1, m) != 1 or multiplicative_order(r2, m) != d:
-                    continue
-                g1 = validate_type1(m, n, r1)
-                g2 = validate_type1(m, n, r2)
-                if is_isomorphic(g1, g2):
-                    continue
-                c1, c2 = sorted((canonical_r(g1), canonical_r(g2)))
-                key = (m, n, c1, c2)
-                if key in seen:
-                    continue
-                seen.add(key)
-                certs.append(certify_pair(validate_type1(m, n, c1), validate_type1(m, n, c2)))
+                members = _bucket_members(m, n, d, orders)
+                owner = {r: g for g in members for r in r_generators(g)}
+                for g1 in members:
+                    g2 = owner.get(-pow(g1.r, -1, m) % m)
+                    if g2 is not None and g1.r < g2.r:
+                        certs.append(certify_pair(g1, g2))
     certs.sort(key=lambda c: (c.N, c.m, c.r1, c.r2))
     return certs
 

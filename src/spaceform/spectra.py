@@ -410,11 +410,12 @@ def _root_powers(p: int, root: int, L: int) -> list[int]:
 
 
 def _class_field_data(classes, p: int, powers):
-    """Per class: (count, e, det coefficients ascending in X = z^e), with
+    """Per class: (count, det coefficients ascending in z), with
     powers[M] = root^M (_root_powers).
 
     Every factor of an element has the same e = d/gcd(b, d), the cycle length
-    of B^b, so each determinant is a polynomial in X = z^e.
+    of B^b, so each determinant is first expanded in X = z^e; only every e-th
+    coefficient in z is nonzero.
     """
     data = []
     for factors, count in classes:
@@ -424,7 +425,10 @@ def _class_field_data(classes, p: int, powers):
             coeffs.append(0)
             for i in range(len(coeffs) - 1, 0, -1):
                 coeffs[i] = (coeffs[i] - em * coeffs[i - 1]) % p
-        data.append((count, factors[0][0], tuple(coeffs)))
+        e = factors[0][0]
+        in_z = [0] * (e * (len(coeffs) - 1) + 1)
+        in_z[::e] = coeffs
+        data.append((count, in_z))
     return data
 
 
@@ -440,9 +444,8 @@ def _packed_dets(class_data, D: int, p: int, points):
     points = [z % p for z in points]
     w = ((D + 1).bit_length() + p.bit_length() + D * max(points).bit_length() + 7) // 8
     size = w * len(class_data)
-    zero, from_bytes = bytes(w), int.from_bytes
-    packed = [from_bytes(b"".join(coeffs[j // e].to_bytes(w, "little") if j % e == 0 else zero
-                                      for _, e, coeffs in class_data), "little")
+    from_bytes = int.from_bytes
+    packed = [from_bytes(b"".join(coeffs[j].to_bytes(w, "little") for _, coeffs in class_data), "little")
               for j in range(D + 1)]
     for z in points:
         h = packed[D]
@@ -474,10 +477,9 @@ def evaluate_f_values(classes, group_order: int, p: int, root: int, points) -> t
     every exponent M is below L = group_order): each class determinant is
     expanded once, and one packed Horner pass per point evaluates them all.
     """
-    D = sum(e for e, _ in classes[0][0])
     data = _class_field_data(classes, p, _root_powers(p, root, group_order))
-    return _sum_over_classes([count for _, count in classes], _packed_dets(data, D, p, points),
-                             group_order, p, points)
+    dets = _packed_dets(data, len(data[0][1]) - 1, p, points)
+    return _sum_over_classes([count for _, count in classes], dets, group_order, p, points)
 
 
 def _screen_value(rep: SumRep, p: int, root: int, z: int) -> int:
@@ -604,21 +606,20 @@ def molien_coefficients(rep: SumRep, truncation: int = DEFAULT_MOLIEN_TRUNCATION
 
 
 def _molien_from_classes(classes, group_order: int, K: int, p: int, root: int) -> list[int]:
-    """Lifted coefficients of (1-z^2)/|G| * sum_C count/det_C as a power series.
-
-    det_C has its coefficients in X = z^e (_class_field_data), so only every
-    e-th power of z enters the inversion.
-    """
+    """Lifted coefficients of (1-z^2)/|G| * sum_C count/det_C as a power series,
+    each det_C (_class_field_data) inverted over its nonzero terms.  The
+    inverse is kept behind deg(det_C) zeros, so no term needs a bounds test."""
     total = [0] * (K + 1)
-    for count, e, det in _class_field_data(classes, p, _root_powers(p, root, group_order)):
-        inv = [0] * (K + 1)
-        inv[0] = 1
-        for t in range(1, K + 1):
+    for count, det in _class_field_data(classes, p, _root_powers(p, root, group_order)):
+        terms = [(i, c) for i, c in enumerate(det) if i and c]
+        D = len(det) - 1
+        inv = [0] * D + [1] + [0] * K
+        for t in range(D + 1, D + K + 1):
             s = 0
-            for i in range(1, min(t // e, len(det) - 1) + 1):
-                s += det[i] * inv[t - i * e]
+            for i, c in terms:
+                s += c * inv[t - i]
             inv[t] = -s % p
         for t in range(K + 1):
-            total[t] = (total[t] + count * inv[t]) % p
+            total[t] = (total[t] + count * inv[D + t]) % p
     inv_order = pow(group_order, -1, p)
     return [(total[k] - (total[k - 2] if k >= 2 else 0)) * inv_order % p for k in range(K + 1)]

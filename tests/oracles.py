@@ -13,14 +13,16 @@ library against.  Nothing in src/ imports this module.
 - Helpers on eigenvalue exponent multisets.
 - The torsion scan: canonical groups from every r of the n-torsion of Z_m^x,
   each validated and tested for canonicity.
+- The torsion construction: Theorem-4.2 pairs from every r1 of the
+  d-torsion of Z_m^x, filtered by order and deduplicated by canonical r.
 """
 
 import math
 
 from spaceform.errors import BadPrime, CertificationFailed, GroupMismatch, SingularPoint
-from spaceform.groups import is_canonical, validate_type1
-from spaceform.numtheory import divisors, multiplicative_order, prime_factors, torsion_elements
-from spaceform.search import _certify, _ordered_pair
+from spaceform.groups import canonical_r, is_canonical, is_isomorphic, validate_type1
+from spaceform.numtheory import carmichael, divisors, multiplicative_order, prime_factors, torsion_elements
+from spaceform.search import _certify, _ordered_pair, certify_pair
 from spaceform.spectra import EigenExponentMultiset, Spectrum, SumRep, _alpha, _evaluation_grid, root_of_unity
 
 
@@ -258,3 +260,47 @@ def torsion_scan_canonical(N):
             if is_canonical(g):
                 out.append(g)
     return sorted(out, key=lambda g: (g.m, g.n, g.d, g.r))
+
+
+# --- Theorem-4.2 pairs by the torsion scan ----------------------------------
+
+def torsion_construct_theorem42_pairs(m_max, d_values=None):
+    """construct_theorem42_pairs by scanning every r1 of the d-torsion of
+    Z_m^x: r1 and r2 = -r1^-1 must both be valid of order d and the groups
+    non-isomorphic; each pair is kept once, by its canonical r's."""
+    seen = set()
+    certs = []
+    for m in range(3, m_max + 1, 2):
+        lam = carmichael(m)
+        if d_values is None:
+            ds = []
+            d = 8
+            while d <= lam:
+                ds.append(d)
+                d *= 2
+        else:
+            ds = list(d_values)
+        for d in ds:
+            if lam % d:
+                continue
+            n = 2 * d
+            for r1 in torsion_elements(m, d):
+                if r1 <= 1 or math.gcd(r1 - 1, m) != 1:
+                    continue
+                if multiplicative_order(r1, m) != d:
+                    continue
+                r2 = (-pow(r1, -1, m)) % m
+                if math.gcd(r2 - 1, m) != 1 or multiplicative_order(r2, m) != d:
+                    continue
+                g1 = validate_type1(m, n, r1)
+                g2 = validate_type1(m, n, r2)
+                if is_isomorphic(g1, g2):
+                    continue
+                c1, c2 = sorted((canonical_r(g1), canonical_r(g2)))
+                key = (m, n, c1, c2)
+                if key in seen:
+                    continue
+                seen.add(key)
+                certs.append(certify_pair(validate_type1(m, n, c1), validate_type1(m, n, c2)))
+    certs.sort(key=lambda c: (c.N, c.m, c.r1, c.r2))
+    return certs

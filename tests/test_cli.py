@@ -151,6 +151,22 @@ def test_construct(tmp_path):
     assert [1360, 85, 16, 8, 2, 42] in out["rows"]
 
 
+def test_bad_out_path_fails_before_the_run(tmp_path, monkeypatch, capsys):
+    from spaceform import search
+
+    def refuse(*args):
+        raise AssertionError("computed before the output path was checked")
+    monkeypatch.setattr(search, "_pairs_for_order", refuse)
+    monkeypatch.setattr(spaceform.cli, "construct_theorem42_pairs", refuse)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    for argv, error in [(["search", "--nmax", "1400", "--out", str(blocker / "x")], "NotADirectoryError"),
+                        (["construct", "--mmax", "85", "--out", str(blocker)], "FileExistsError")]:
+        assert spaceform.cli.main([*argv, "--json"]) == 1
+        record = json.loads(capsys.readouterr().out)
+        assert record["status"] == "error" and record["payload"]["error"] == error
+
+
 def test_crosscheck():
     out = payload(run_cli("crosscheck", "--nmax", "1360"))
     assert out["all_applicable"] is True

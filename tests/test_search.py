@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from spaceform.errors import CertificationFailed, ParameterOutOfRange, SpaceformError
+from spaceform.errors import CertificationFailed, InvalidRepresentation, ParameterOutOfRange, SpaceformError
 from spaceform.groups import is_fixed_point_free, is_isomorphic, validate_type1
 from spaceform.numtheory import divisors, factorint, prime_factors
 from spaceform.search import (
@@ -27,7 +27,7 @@ from spaceform.search import (
 from spaceform.spectra import Spectrum, SumRep, _evaluation_grid, _screen_value, det_classes, \
     evaluate_f_values, choose_prime, root_of_unity, select_points
 
-from oracles import full_vector_certify_pair, torsion_scan_canonical
+from oracles import full_vector_certify_pair, torsion_construct_theorem42_pairs, torsion_scan_canonical
 from table1 import TABLE1_ROWS, canonical_row_set
 
 
@@ -405,6 +405,14 @@ def test_certify_pair_refutations():
     assert exc.value.check == "parameters"
 
 
+def test_certify_pair_refuses_empty_rep_pairs():
+    g1, g2 = validate_type1(85, 16, 2), validate_type1(85, 16, 42)
+    with pytest.raises(InvalidRepresentation):
+        certify_pair(g1, g2, rep_pairs=())
+    # None, not any falsy value, stands for rho_11
+    assert certify_pair(g1, g2, rep_pairs=None) == certify_pair(g1, g2, rep_pairs=((1, 1),))
+
+
 def test_certificate_roundtrip():
     # Pool workers hand certificates back pickled.
     cert = certify_pair(validate_type1(85, 16, 2), validate_type1(85, 16, 42))
@@ -454,6 +462,28 @@ def test_construct_to_m221_matches_table_rows():
     expected = {row for row in table1.canonical_row_set(table1.TABLE1_ROWS)
                 if row[1] <= 221}
     assert rows == expected
+
+
+@pytest.mark.parametrize("m_max, d_values", [(221, None), (2000, (4,)), (2000, (2,))])
+def test_construct_matches_torsion_oracle(m_max, d_values):
+    built = construct_theorem42_pairs(m_max, d_values)
+    expected = torsion_construct_theorem42_pairs(m_max, d_values)
+    assert [c.canonical_bytes() for c in built] == [c.canonical_bytes() for c in expected]
+
+
+def test_construct_refuses_d_not_a_power_of_two(monkeypatch):
+    # With n = 2d these groups are not fixed point free: refused before any work.
+    from spaceform import search
+
+    def build(*args):
+        raise AssertionError("construct built a group before checking d_values")
+    monkeypatch.setattr(search, "validate_type1", build)
+    for m_max, d_values in [(35, (12,)), (91, (6,)), (91, (8, 0)), (91, (-4,))]:
+        with pytest.raises(ParameterOutOfRange):
+            construct_theorem42_pairs(m_max, d_values)
+    monkeypatch.undo()
+    for d in (1, 2, 4):
+        assert construct_theorem42_pairs(91, (d,)) == []
 
 
 def test_crosscheck_table():
