@@ -4,7 +4,8 @@ Subcommands: validate, orders, isomorphic, fingerprint, certify-pair,
 search, construct, crosscheck.  Payloads are JSON (indented by default,
 canonical one-line bytes with --json); diagnostics go to stderr; exit code 0
 iff status is ok.  Library errors and OSErrors (an --out path that cannot be
-a directory) become an error record with exit code 1.  SPACEFORM_PRIME_SEED
+a directory) become an error record with exit code 1; size refusals come
+from the library's one limit, spectra.EVALUATION_LIMIT.  SPACEFORM_PRIME_SEED
 shifts the deterministic prime scan and thereby breaks byte-reproducibility
 between differently-seeded runs.
 """
@@ -17,7 +18,7 @@ import os
 import sys
 from dataclasses import dataclass, field
 
-from .errors import CertificationFailed, SizeLimitExceeded, SpaceformError
+from .errors import CertificationFailed, SpaceformError
 from .groups import (
     is_fixed_point_free,
     is_isomorphic,
@@ -33,13 +34,7 @@ from .search import (
     run_search,
     write_results,
 )
-from .spectra import Spectrum, SumRep, fingerprint, molien_coefficients
-
-# Most F-value terms, #classes * Spectrum.point_count, that fingerprint and
-# certify-pair accept per spectrum.  The largest Table-1 group (N = 29648)
-# needs 2,997,882; the cost grows with the square of the class count.  The
-# same limit bounds the Molien terms of --kmolien K, #classes * K * degree.
-EVALUATION_LIMIT = 10_000_000
+from .spectra import SumRep, fingerprint, molien_coefficients
 
 
 @dataclass
@@ -106,24 +101,9 @@ def _int_at_least(low: int):
     return integer
 
 
-def _check_evaluation_budget(rep: SumRep, kmolien: int = 0) -> None:
-    """Refuse rep before any F-value is evaluated if its spectrum, or its
-    Molien series to kmolien, is above EVALUATION_LIMIT."""
-    spectrum = Spectrum.of(rep)
-    classes, points = len(spectrum.classes), spectrum.point_count
-    if classes * points > EVALUATION_LIMIT:
-        raise SizeLimitExceeded(f"{classes} determinant classes x {points} points = "
-                                f"{classes * points} F-value terms exceeds limit {EVALUATION_LIMIT}")
-    terms = classes * kmolien * rep.degree
-    if terms > EVALUATION_LIMIT:
-        raise SizeLimitExceeded(f"{classes} determinant classes x K = {kmolien} x degree {rep.degree} = "
-                                f"{terms} Molien terms exceeds limit {EVALUATION_LIMIT}")
-
-
 def _cmd_fingerprint(args, diags) -> CommandResult:
     g = validate_type1(args.m, args.n, _reduce_r(args.m, args.r, diags))
     rep = SumRep.from_pairs(g, args.reps)
-    _check_evaluation_budget(rep, args.kmolien)
     payload = fingerprint(rep).to_dict()
     if args.kmolien:
         payload = {"fingerprint": payload,
@@ -134,8 +114,6 @@ def _cmd_fingerprint(args, diags) -> CommandResult:
 def _cmd_certify_pair(args, diags) -> CommandResult:
     g1 = validate_type1(args.m, args.n, _reduce_r(args.m, args.r1, diags))
     g2 = validate_type1(args.m, args.n, _reduce_r(args.m, args.r2, diags))
-    for g in (g1, g2):
-        _check_evaluation_budget(SumRep.rho11(g), args.kmolien)
     try:
         cert = certify_pair(g1, g2)
     except CertificationFailed as exc:

@@ -35,8 +35,9 @@ class NotFixedPointFree(SpaceformError):
 
 
 class ParameterOutOfRange(SpaceformError):
-    """A size parameter is out of its range: m, n, n_max or jobs below 1, or a
-    negative Molien truncation."""
+    """A parameter is out of its range: m, n, n_max or jobs below 1, a
+    negative Molien truncation, or a SPACEFORM_PRIME_SEED that is not an
+    integer."""
 
 
 class SizeLimitExceeded(SpaceformError):

@@ -24,9 +24,10 @@ import os
 from dataclasses import dataclass, field
 from itertools import combinations, product
 
-from .errors import CertificationFailed, GroupMismatch, ParameterOutOfRange
+from .errors import CertificationFailed, GroupMismatch, NotFixedPointFree, ParameterOutOfRange
 from .groups import (
     TypeIParams,
+    is_fixed_point_free,
     is_isomorphic,
     r_generators,
     validate_type1,
@@ -184,24 +185,26 @@ def theorem42_applicable(g1: TypeIParams, g2: TypeIParams) -> tuple[bool, tuple[
 def certify_pair(g1: TypeIParams, g2: TypeIParams, rep_pairs=None) -> PairCertificate:
     """Run all three checks on a pair and produce the certificate.
 
-    Raises CertificationFailed naming the first failing check.
+    Raises CertificationFailed naming the first failing check, and
+    NotFixedPointFree if the groups give no space form.
     """
     g1, g2 = _ordered_pair(g1, g2)
     if rep_pairs is None:
         rep_pairs = ((1, 1),)
-    buckets, grid = _f_buckets([SumRep.from_pairs(g, rep_pairs) for g in (g1, g2)], g1.order)
-    if len(buckets) != 1:  # one bucket holds both exactly when their values agree
+    certs = _certify_bucket([SumRep.from_pairs(g, rep_pairs) for g in (g1, g2)], g1.order)
+    if not certs:
         raise CertificationFailed("fingerprint", "value vectors differ")
-    (values, (s1, s2)), = buckets.items()  # the bucket keeps the reps' order
-    return _certify(s1, s2, grid, values)
+    return certs[0]
 
 
 def _ordered_pair(g1: TypeIParams, g2: TypeIParams) -> tuple[TypeIParams, TypeIParams]:
-    """The parameter and non-isomorphism checks; the pair ordered by r."""
+    """The parameter, fixed-point and non-isomorphism checks; the pair ordered by r."""
     if (g1.m, g1.n) != (g2.m, g2.n):
         raise GroupMismatch(f"pair must share (m, n): {(g1.m, g1.n)} vs {(g2.m, g2.n)}")
     if g1.d != g2.d:
         raise CertificationFailed("parameters", f"d differs: {g1.d} vs {g2.d}")
+    if not is_fixed_point_free(g1):  # n and d decide it, and the pair shares both
+        raise NotFixedPointFree(f"{g1} is not fixed point free: the pair gives no space form")
     if g1.r > g2.r:
         g1, g2 = g2, g1
     if is_isomorphic(g1, g2):
@@ -233,45 +236,36 @@ def _certify(s1: Spectrum, s2: Spectrum, grid, values) -> PairCertificate:
     )
 
 
-def _f_buckets(reps: list[SumRep], N: int):
-    """({F-values: spectra}, grid) for reps of order N, the values on grid,
-    the points of the largest point count among the spectra built.
+def _certify_bucket(reps: list[SumRep], N: int) -> list[PairCertificate]:
+    """The certificates of every pair of reps of order N whose F-values agree.
 
     Each rep is screened at one point straight from its orbit walk
     (_screen_value).  Only reps that share a screen value get a Spectrum and
-    the full vector, on a grid built only then (None if no two collide); a
-    chance collision only costs a full vector.  Each distinct class multiset
-    is evaluated once, and every bucket keeps the order of reps.
+    the full vector, on a grid built only then, at the largest point count
+    among the spectra built; a chance collision only costs a full vector.
+    Each distinct class multiset is evaluated once.
     """
     p, root, (z,) = _evaluation_grid(N, 1)
     screened: dict[int, list[SumRep]] = {}
     for rep in reps:
         screened.setdefault(_screen_value(rep, p, root, z), []).append(rep)
-    spectra = [Spectrum.of(rep) for group in screened.values() if len(group) > 1 for rep in group]
+    spectra = {rep.group: Spectrum.of(rep) for group in screened.values() if len(group) > 1 for rep in group}
     if not spectra:
-        return {}, None
-    grid = _evaluation_grid(N, max(s.point_count for s in spectra), p)
+        return []
+    grid = _evaluation_grid(N, max(s.point_count for s in spectra.values()), p)
     values: dict[tuple, tuple[int, ...]] = {}
-    buckets: dict[tuple, list[Spectrum]] = {}
-    for s in spectra:
+    buckets: dict[tuple, list[TypeIParams]] = {}
+    for g, s in spectra.items():
         if s.classes not in values:
             values[s.classes] = evaluate_f_values(s.classes, N, *grid)
-        buckets.setdefault(values[s.classes], []).append(s)
-    return buckets, grid
+        buckets.setdefault(values[s.classes], []).append(g)
+    pairs = (_ordered_pair(a, b) for mates in buckets.values() for a, b in combinations(mates, 2))
+    return [_certify(spectra[g1], spectra[g2], grid, values[spectra[g1].classes]) for g1, g2 in pairs]
 
 
 def _pairs_for_order(N: int) -> list[PairCertificate]:
-    certs = []
-    for bucket, size in _audible_buckets(N):
-        if size < 2:
-            continue
-        buckets, grid = _f_buckets([SumRep.rho11(g) for g in _bucket_members(*bucket)], N)
-        for values in sorted(buckets):
-            mates = {s.rep.group: s for s in buckets[values]}
-            for a, b in combinations(mates, 2):  # every mate has these values
-                g1, g2 = _ordered_pair(a, b)
-                certs.append(_certify(mates[g1], mates[g2], grid, values))
-    return certs
+    return [c for bucket, size in _audible_buckets(N) if size > 1
+            for c in _certify_bucket([SumRep.rho11(g) for g in _bucket_members(*bucket)], N)]
 
 
 def _search_worker(N: int) -> list[PairCertificate]:

@@ -39,12 +39,18 @@ from .errors import (
     ParameterOutOfRange,
     PrimeTooSmall,
     SingularPoint,
+    SizeLimitExceeded,
 )
 from .groups import GroupElement, TypeIParams
 from .numtheory import harmonic_dim, next_prime_in_progression, prime_factors
 
 DEFAULT_PRIME_FLOOR = 10**18
 DEFAULT_MOLIEN_TRUNCATION = 200
+
+# Most terms of a full F-value vector, #classes * #points, or of a Molien
+# series to K, #classes * K * degree.  The largest Table-1 spectrum (N = 29648)
+# needs 2,997,882 F-value terms; the cost grows with the square of #classes.
+EVALUATION_LIMIT = 10_000_000
 
 # (e, M) pairs: one (1 - eta^M z^e) factor of det(I - rho(g) z).
 DetFactors = tuple[tuple[int, int], ...]
@@ -345,7 +351,11 @@ def prime_seed_offset() -> int:
     seed = os.environ.get("SPACEFORM_PRIME_SEED")
     if not seed:
         return 0
-    return random.Random(int(seed)).randrange(1, 1_000_000)
+    try:
+        value = int(seed)
+    except ValueError:
+        raise ParameterOutOfRange(f"SPACEFORM_PRIME_SEED must be an integer, got {seed!r}") from None
+    return random.Random(value).randrange(1, 1_000_000)
 
 
 def choose_prime(L: int, floor: int = DEFAULT_PRIME_FLOOR) -> int:
@@ -476,7 +486,12 @@ def evaluate_f_values(classes, group_order: int, p: int, root: int, points) -> t
     """Exact values of F_G at the given points (classes from det_classes, so
     every exponent M is below L = group_order): each class determinant is
     expanded once, and one packed Horner pass per point evaluates them all.
+    Refused before any work above EVALUATION_LIMIT terms.
     """
+    terms = len(classes) * len(points)
+    if terms > EVALUATION_LIMIT:
+        raise SizeLimitExceeded(f"{len(classes)} determinant classes x {len(points)} points = "
+                                f"{terms} F-value terms exceeds limit {EVALUATION_LIMIT}")
     data = _class_field_data(classes, p, _root_powers(p, root, group_order))
     dets = _packed_dets(data, len(data[0][1]) - 1, p, points)
     return _sum_over_classes([count for _, count in classes], dets, group_order, p, points)
@@ -588,10 +603,16 @@ def molien_coefficients(rep: SumRep, truncation: int = DEFAULT_MOLIEN_TRUNCATION
     """Power-series coefficients of F_G, lifted from F_p to integers.
 
     Each class determinant is inverted as a truncated power series; the prime
-    must exceed dim H_{q,K} so the lift is unique.
+    must exceed dim H_{q,K} so the lift is unique.  Refused above
+    EVALUATION_LIMIT terms before the bound, the prime or any series work.
     """
     if truncation < 0:
         raise ParameterOutOfRange(f"truncation must be >= 0, got {truncation}")
+    classes = Spectrum.of(rep).classes
+    terms = len(classes) * truncation * rep.degree
+    if terms > EVALUATION_LIMIT:
+        raise SizeLimitExceeded(f"{len(classes)} determinant classes x K = {truncation} x degree {rep.degree} = "
+                                f"{terms} Molien terms exceeds limit {EVALUATION_LIMIT}")
     g = rep.group
     L = g.m * g.n
     q = rep.degree - 1
@@ -601,7 +622,7 @@ def molien_coefficients(rep: SumRep, truncation: int = DEFAULT_MOLIEN_TRUNCATION
     root = root_of_unity(p, L)
     if p <= coeff_bound:
         raise PrimeTooSmall(f"p = {p} <= dim H_({q},{truncation}) = {coeff_bound}")
-    coeffs = _molien_from_classes(Spectrum.of(rep).classes, g.order, truncation, p, root)
+    coeffs = _molien_from_classes(classes, g.order, truncation, p, root)
     return MolienSeries(truncation, tuple(coeffs))
 
 

@@ -9,11 +9,11 @@ from pathlib import Path
 import pytest
 
 import spaceform.cli
-from spaceform.cli import _check_evaluation_budget
+from spaceform import spectra
 from spaceform.errors import ParameterOutOfRange
 from spaceform.groups import validate_type1
 from spaceform.search import SearchConfig
-from spaceform.spectra import SumRep
+from spaceform.spectra import Spectrum, SumRep
 
 # sha256 of every file `search --nmax 3600 --out` writes, recorded with the
 # engine as it was before the search certified pairs from its own bucket
@@ -99,12 +99,19 @@ def test_fingerprint_with_molien():
 
 def test_fingerprint_and_certify_pair_refuse_oversized_group():
     # The spectrum with the most F-value terms in Table 1 (N = 29648) is admitted.
-    _check_evaluation_budget(SumRep.rho11(validate_type1(1853, 16, 76)))
+    spectrum = Spectrum.of(SumRep.rho11(validate_type1(1853, 16, 76)))
+    assert len(spectrum.classes) * spectrum.point_count <= spectra.EVALUATION_LIMIT
     # |G| = 237184: 2118 classes x 67781 points, far past the evaluation budget
-    for args in (("fingerprint", "1853", "128", "76"), ("certify-pair", "1853", "128", "76", "185")):
-        out = payload(run_cli(*args, expect_code=1))
-        assert out["error"] == "SizeLimitExceeded"
-        assert "2118 determinant classes x 67781 points" in out["message"]
+    out = payload(run_cli("fingerprint", "1853", "128", "76", expect_code=1))
+    assert out["error"] == "SizeLimitExceeded"
+    assert "2118 determinant classes x 67781 points" in out["message"]
+    # certify-pair screens first: this pair differs at the screen point.
+    out = payload(run_cli("certify-pair", "1853", "128", "76", "185", expect_code=1))
+    assert out["failed_check"] == "fingerprint"
+    # This pair (N = 99280) collides there and is refused before its full vector.
+    out = payload(run_cli("certify-pair", "6205", "16", "302", "387", expect_code=1))
+    assert out["error"] == "SizeLimitExceeded"
+    assert "842 determinant classes x 26949 points" in out["message"]
 
 
 def test_kmolien_budget():
@@ -179,6 +186,14 @@ def test_prime_seed_env_overrides_policy():
                              env_extra={"SPACEFORM_PRIME_SEED": "7"}))
     assert seeded["p"] != default["p"]
     assert (seeded["p"] - 1) % 20 == 0
+
+
+def test_non_integer_prime_seed_is_an_error_record(monkeypatch, capsys):
+    monkeypatch.setenv("SPACEFORM_PRIME_SEED", "abc")
+    assert spaceform.cli.main(["certify-pair", "85", "16", "2", "42", "--json"]) == 1
+    record = json.loads(capsys.readouterr().out)
+    assert record["payload"]["error"] == "ParameterOutOfRange"
+    assert "SPACEFORM_PRIME_SEED" in record["payload"]["message"] and "'abc'" in record["payload"]["message"]
 
 
 def test_usage_error_exit_2():

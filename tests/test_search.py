@@ -6,7 +6,14 @@ import random
 
 import pytest
 
-from spaceform.errors import CertificationFailed, InvalidRepresentation, ParameterOutOfRange, SpaceformError
+from spaceform.errors import (
+    CertificationFailed,
+    InvalidRepresentation,
+    NotFixedPointFree,
+    ParameterOutOfRange,
+    SizeLimitExceeded,
+    SpaceformError,
+)
 from spaceform.groups import is_fixed_point_free, is_isomorphic, validate_type1
 from spaceform.numtheory import divisors, factorint, prime_factors
 from spaceform.search import (
@@ -22,6 +29,7 @@ from spaceform.search import (
     enumerate_canonical,
     negative_d2_check,
     run_search,
+    theorem42_applicable,
     theorem42_witness,
 )
 from spaceform.spectra import Spectrum, SumRep, _evaluation_grid, _screen_value, det_classes, \
@@ -405,6 +413,42 @@ def test_certify_pair_refutations():
     assert exc.value.check == "parameters"
 
 
+def test_certify_pair_is_symmetric():
+    g2, g42 = validate_type1(85, 16, 2), validate_type1(85, 16, 42)
+    assert certify_pair(g42, g2).canonical_bytes() == certify_pair(g2, g42).canonical_bytes()
+
+
+def test_certify_pair_refutes_failed_almost_conjugacy(monkeypatch):
+    from spaceform import search
+
+    monkeypatch.setattr(search, "almost_conjugate", lambda rep1, rep2: False)
+    with pytest.raises(CertificationFailed) as exc:
+        certify_pair(validate_type1(85, 16, 2), validate_type1(85, 16, 42))
+    assert exc.value.check == "almost_conjugacy"
+
+
+def test_certify_pair_refuses_groups_that_are_not_fixed_point_free():
+    # Neither quotient is a space form, although both groups are Type I,
+    # not isomorphic, and share their F-values.
+    for m, n, r1, r2 in ((85, 8, 43, 83), (85, 16, 73, 82)):
+        g1, g2 = validate_type1(m, n, r1), validate_type1(m, n, r2)
+        assert not is_fixed_point_free(g1) and not is_isomorphic(g1, g2)
+        with pytest.raises(NotFixedPointFree):
+            certify_pair(g1, g2)
+
+
+def test_pairs_for_order_refuses_an_over_budget_full_vector(monkeypatch):
+    # Past the table (N = 99280) the first colliding bucket needs a full
+    # vector of 842 classes x 26949 points: refused before it is evaluated.
+    from spaceform import spectra
+
+    def refuse(*args):
+        raise AssertionError("evaluated past the budget")
+    monkeypatch.setattr(spectra, "_packed_dets", refuse)
+    with pytest.raises(SizeLimitExceeded, match="F-value terms exceeds limit"):
+        _pairs_for_order(99280)
+
+
 def test_certify_pair_refuses_empty_rep_pairs():
     g1, g2 = validate_type1(85, 16, 2), validate_type1(85, 16, 42)
     with pytest.raises(InvalidRepresentation):
@@ -432,6 +476,12 @@ def test_theorem42_witness_examples():
     w = theorem42_witness(965, 8, 43, 588)
     assert w is not None and w[0] * w[1] % 965 == 964
     assert theorem42_witness(85, 8, 2, 9) is None
+
+
+def test_theorem42_not_applicable_unless_n_is_2d():
+    g1, g2 = validate_type1(85, 32, 2), validate_type1(85, 32, 42)
+    assert (g1.n, g1.d) == (32, 8)
+    assert theorem42_applicable(g1, g2) == (False, None)
 
 
 def test_construct_theorem42_pairs_smallest():

@@ -11,7 +11,9 @@ from spaceform.errors import (
     ParameterOutOfRange,
     PrimeTooSmall,
     SingularPoint,
+    SizeLimitExceeded,
 )
+from spaceform import spectra
 from spaceform.groups import is_fixed_point_free, validate_type1
 from spaceform.spectra import (
     RepParams,
@@ -425,6 +427,25 @@ def test_screen_value_matches_evaluator_and_reference(fpf_pool_2000):
         assert tuple(_screen_value(rep, p, root, z) for z in points) == expected, rep
 
 
+def _refuse(*args):
+    raise AssertionError("work started past the evaluation budget")
+
+
+def test_evaluate_f_values_refuses_over_budget(monkeypatch):
+    # 20 classes: one point past EVALUATION_LIMIT / 20 is refused before any
+    # determinant is evaluated; exactly at the limit the evaluation starts.
+    classes = Spectrum.of(SumRep.rho11(G85)).classes
+    p = choose_prime(1360)
+    root = root_of_unity(p, 1360)
+    at_limit = range(2, 2 + spectra.EVALUATION_LIMIT // len(classes))
+    monkeypatch.setattr(spectra, "_packed_dets", _refuse)
+    with pytest.raises(AssertionError):
+        evaluate_f_values(classes, 1360, p, root, at_limit)
+    monkeypatch.setattr(spectra, "_root_powers", _refuse)
+    with pytest.raises(SizeLimitExceeded, match=f"20 determinant classes x {len(at_limit) + 1} points"):
+        evaluate_f_values(classes, 1360, p, root, range(2, 3 + len(at_limit)))
+
+
 def test_shared_fingerprints_requires_equal_order():
     with pytest.raises(GroupMismatch):
         shared_fingerprints([SumRep.rho11(G85), SumRep.rho11(G54)])
@@ -485,6 +506,15 @@ def test_molien_negative_truncation_is_refused():
     with pytest.raises(ParameterOutOfRange):
         molien_coefficients(SumRep.rho11(G85), truncation=-1)
     assert molien_coefficients(SumRep.rho11(G85), truncation=0).coefficients == (1,)
+
+
+def test_molien_refuses_over_budget(monkeypatch):
+    # 20 classes x K = 100000 x degree 16 terms: refused before the
+    # coefficient bound, the prime or any series work.
+    for name in ("_molien_from_classes", "harmonic_dim", "choose_prime"):
+        monkeypatch.setattr(spectra, name, _refuse)
+    with pytest.raises(SizeLimitExceeded, match="20 determinant classes x K = 100000 x degree 16 = 32000000"):
+        molien_coefficients(SumRep.rho11(G85), truncation=100000)
 
 
 # --- encode consistency: value equality iff coefficient equality ---------
