@@ -72,7 +72,7 @@ class GroupElement:
 
     def __post_init__(self):
         if not (0 <= self.a < self.group.m and 0 <= self.b < self.group.n):
-            raise ValueError(f"element ({self.a},{self.b}) out of range for {self.group}")
+            raise ParameterOutOfRange(f"element ({self.a},{self.b}) out of range for {self.group}")
 
     @property
     def is_identity(self) -> bool:

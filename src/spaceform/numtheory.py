@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
+from .errors import ParameterOutOfRange
+
 # Deterministic Miller-Rabin below this bound with the 13 smallest prime bases
 # (Sorenson & Webster).
 _MR_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
@@ -48,7 +50,7 @@ def is_prime(n: int) -> bool:
 def factorint(n: int) -> dict[int, int]:
     """Prime factorization {p: e} by trial division."""
     if n < 1:
-        raise ValueError(f"factorint expects n >= 1, got {n}")
+        raise ParameterOutOfRange(f"factorint expects n >= 1, got {n}")
     out: dict[int, int] = {}
     for p in (2, 3):
         while n % p == 0:
@@ -98,7 +100,7 @@ def multiplicative_order(r: int, m: int) -> int:
         return 1
     r %= m
     if math.gcd(r, m) != 1:
-        raise ValueError(f"{r} is not a unit mod {m}")
+        raise ParameterOutOfRange(f"{r} is not a unit mod {m}")
     order = carmichael(m)
     for p in prime_factors(order):
         while order % p == 0 and pow(r, order // p, m) == 1:
@@ -135,7 +137,7 @@ def primitive_root(q: int) -> int:
     """Smallest primitive root mod q, for q an odd prime power."""
     fact = factorint(q)
     if len(fact) != 1 or 2 in fact:
-        raise ValueError(f"{q} is not an odd prime power")
+        raise ParameterOutOfRange(f"{q} is not an odd prime power")
     (p, e), = fact.items()
     phi_p = p - 1
     qs = prime_factors(phi_p)
@@ -159,7 +161,7 @@ def torsion_elements(m: int, n: int) -> list[int]:
     if m == 1:
         return [0]
     if m % 2 == 0:
-        raise ValueError("torsion_elements expects odd m")
+        raise ParameterOutOfRange("torsion_elements expects odd m")
     residues = [(1, 1)]  # (value mod modulus, modulus)
     for p, e in factorint(m).items():
         q = p**e

@@ -27,6 +27,7 @@ from itertools import combinations, product
 from .errors import CertificationFailed, GroupMismatch, NotFixedPointFree, ParameterOutOfRange
 from .groups import (
     TypeIParams,
+    canonical_r,
     is_fixed_point_free,
     is_isomorphic,
     r_generators,
@@ -163,14 +164,13 @@ def audible_invariants(g: TypeIParams) -> tuple:
 
 
 def theorem42_witness(m: int, d: int, r1: int, r2: int) -> tuple[int, int] | None:
-    """Generators g1 of <r1>, g2 of <r2> with g1*g2 = -1 mod m, if any."""
-    gens1 = r_generators(validate_type1(m, 2 * d, r1)) if m > 1 else (0,)
-    gens2 = set(r_generators(validate_type1(m, 2 * d, r2))) if m > 1 else {0}
-    for g1 in gens1:
-        partner = (-pow(g1, -1, m)) % m
-        if partner in gens2:
-            return (g1, partner)
-    return None
+    """(g, -g^-1 mod m) for the least generator g of <r1>, if that partner
+    generates <r2>.  Every generator of <r1> is g^c with c odd and prime to
+    the order of -g^-1, and (-g^-1)^c is then its partner and generates the
+    same subgroup, so no other generator of <r1> pairs when g does not."""
+    g = canonical_r(validate_type1(m, 2 * d, r1))
+    partner = -pow(g, -1, m) % m
+    return (g, partner) if partner in r_generators(validate_type1(m, 2 * d, r2)) else None
 
 
 def theorem42_applicable(g1: TypeIParams, g2: TypeIParams) -> tuple[bool, tuple[int, int] | None]:

@@ -42,7 +42,7 @@ from .errors import (
     SizeLimitExceeded,
 )
 from .groups import GroupElement, TypeIParams
-from .numtheory import harmonic_dim, next_prime_in_progression, prime_factors
+from .numtheory import geometric_sum_mod, harmonic_dim, next_prime_in_progression, prime_factors
 
 DEFAULT_PRIME_FLOOR = 10**18
 DEFAULT_MOLIEN_TRUNCATION = 200
@@ -121,23 +121,10 @@ class EigenExponentMultiset:
 
 
 def _alpha(g: TypeIParams, c: int) -> int:
-    """alpha(c) = sum_{h=1}^{d/gcd(d,c)} r^(gcd(d,c) h) mod m (paper convention)."""
-    if g.m == 1:
-        return 0
+    """alpha(c) = sum_{h=1}^{d/cc} r^(cc h) mod m with cc = gcd(d, c) (paper
+    convention): as (r^cc)^(d/cc) = 1, the geometric sum of d/cc powers of r^cc."""
     cc = math.gcd(c, g.d)
-    rc = pow(g.r, cc, g.m)
-    total, t = 0, 1
-    for _ in range(g.d // cc):
-        t = t * rc % g.m
-        total += t
-    return total % g.m
-
-
-def _det_factors(rep: SumRep, a: int, b: int, L: int) -> DetFactors:
-    """The factors (e, M) of det(I - rep(A^a B^b) z), 2*gcd(b,d) per summand, sorted."""
-    g = rep.group
-    e, terms = _factor_row(rep, b, L)
-    return tuple((e, M) for M in _row_ms(terms, a * _alpha(g, b) % g.m, g.m, L))
+    return geometric_sum_mod(pow(g.r, cc, g.m), g.d // cc, g.m)
 
 
 def _factor_row(rep: SumRep, b: int, L: int) -> tuple[int, list[tuple[int, int]]]:
@@ -183,7 +170,8 @@ def sum_rep_det_factors(rep: SumRep, x: GroupElement) -> DetFactors:
     g = rep.group
     if x.group != g:
         raise GroupMismatch(f"{x.group} vs {g}")
-    return _det_factors(rep, x.a, x.b, g.order)
+    e, terms = _factor_row(rep, x.b, g.order)
+    return tuple((e, M) for M in _row_ms(terms, x.a * _alpha(g, x.b) % g.m, g.m, g.order))
 
 
 def char_poly_exponents(rep: RepParams, x: GroupElement) -> EigenExponentMultiset:
@@ -342,9 +330,6 @@ class Spectrum:
     def point_count(self) -> int:
         return 2 * self.degree_bound + 1
 
-    def f_values(self, p: int, root: int, points) -> tuple[int, ...]:
-        return evaluate_f_values(self.classes, self.rep.group.order, p, root, points)
-
 
 def prime_seed_offset() -> int:
     """SPACEFORM_PRIME_SEED shifts the prime scan start (breaks reproducibility)."""
@@ -465,15 +450,15 @@ def _packed_dets(class_data, D: int, p: int, points):
         yield [from_bytes(lanes[i:i + w], "little") % p for i in range(0, size, w)]
 
 
-def _sum_over_classes(counts, dets_per_point, group_order: int, p: int, points) -> tuple[int, ...]:
+def _sum_over_classes(terms_per_point, group_order: int, p: int, points) -> tuple[int, ...]:
     """F_G(z) = (1-z^2)/|G| * sum_C count_C / det_C(z) at each point, from
-    every class determinant det_C(z) there; the sum is kept as one fraction
-    num/den, so each point costs one modular inverse."""
+    the (count_C, det_C(z)) of every class there; the sum is kept as one
+    fraction num/den, so each point costs one modular inverse."""
     inv_order = pow(group_order, -1, p)
     values = []
-    for z, dets in zip(points, dets_per_point):
+    for z, terms in zip(points, terms_per_point):
         num, den = 0, 1
-        for count, det in zip(counts, dets):
+        for count, det in terms:
             num = (num * det + count * den) % p
             den = den * det % p
         if den == 0:
@@ -493,8 +478,9 @@ def evaluate_f_values(classes, group_order: int, p: int, root: int, points) -> t
         raise SizeLimitExceeded(f"{len(classes)} determinant classes x {len(points)} points = "
                                 f"{terms} F-value terms exceeds limit {EVALUATION_LIMIT}")
     data = _class_field_data(classes, p, _root_powers(p, root, group_order))
+    counts = [count for _, count in classes]
     dets = _packed_dets(data, len(data[0][1]) - 1, p, points)
-    return _sum_over_classes([count for _, count in classes], dets, group_order, p, points)
+    return _sum_over_classes((zip(counts, row) for row in dets), group_order, p, points)
 
 
 def _screen_value(rep: SumRep, p: int, root: int, z: int) -> int:
@@ -503,15 +489,15 @@ def _screen_value(rep: SumRep, p: int, root: int, z: int) -> int:
     root^M = zeta^[u*kr]_m * root^w (_factor_row), zeta = root^(L/m) and
     root^w a power of omega = root^(L*d/n), so tables of m and n/d powers
     stand in for the L powers of root.  The factors come in pairs (e, +-M),
-    each giving 1 - (root^M + root^-M) X + X^2 with X = z^e.  The sum is kept
-    as one fraction num/den, so the point costs one modular inverse.
+    each giving 1 - (root^M + root^-M) X + X^2 with X = z^e.  Each orbit's
+    (weight, det) goes into the one sum over classes.
     """
     g = rep.group
     m, L, nd = g.m, g.order, g.n // g.d
     w_unit = L // nd
     zetas = _root_powers(p, pow(root, L // m, p), m)
     omegas = _root_powers(p, pow(root, w_unit, p), nd)
-    num, den = 0, 1
+    orbit_dets = []
     for e, terms, orbits in _orbit_rows(rep):
         x = pow(z, e, p)
         c = 1 + x * x
@@ -521,11 +507,8 @@ def _screen_value(rep: SumRep, p: int, root: int, z: int) -> int:
             for kr, ox, ox_inv in pairs:
                 j = u * kr % m
                 det = det * ((c - zetas[j] * ox - zetas[-j] * ox_inv) % p) % p
-            num = (num * det + weight * den) % p
-            den = den * det % p
-    if den == 0:
-        raise SingularPoint(f"z = {z} is a pole of some det(I - gz)")
-    return (1 - z * z) * num * pow(den * L, -1, p) % p
+            orbit_dets.append((weight, det))
+    return _sum_over_classes([orbit_dets], L, p, (z,))[0]
 
 
 @dataclass(frozen=True)
@@ -585,7 +568,7 @@ def shared_fingerprints(reps: list[SumRep], p: int | None = None) -> list[Spectr
     out = []
     for s in spectra:
         g = s.rep.group
-        values = s.f_values(p, root, points)
+        values = evaluate_f_values(s.classes, g.order, p, root, points)
         out.append(SpectrumFingerprint(g.m, g.n, g.d, g.r, s.rep.pairs, p, root, db, points, values))
     return out
 

@@ -4,6 +4,8 @@ library against.  Nothing in src/ imports this module.
 - The matrix oracle: explicit rho_{k,l} matrices over F_p and their
   characteristic polynomials by Faddeev-LeVerrier, independent of the
   exponent formulas in spectra.py.
+- alpha by its definition: the sum of d/gcd(d, c) powers of r^gcd(d, c),
+  one product at a time.
 - The element walk: determinant classes from every one of the m*n elements.
 - The reference F-evaluator: each class determinant expanded with one pow()
   per factor, then evaluated point by point by Horner with a reduction mod p
@@ -15,15 +17,17 @@ library against.  Nothing in src/ imports this module.
   each validated and tested for canonicity.
 - The torsion construction: Theorem-4.2 pairs from every r1 of the
   d-torsion of Z_m^x, filtered by order and deduplicated by canonical r.
+- The Theorem-4.2 witness by scanning every generator of <r1> for a partner
+  -g1^-1 that generates <r2>.
 """
 
 import math
 
 from spaceform.errors import BadPrime, CertificationFailed, GroupMismatch, SingularPoint
-from spaceform.groups import canonical_r, is_canonical, is_isomorphic, validate_type1
+from spaceform.groups import canonical_r, is_canonical, is_isomorphic, r_generators, validate_type1
 from spaceform.numtheory import carmichael, divisors, multiplicative_order, prime_factors, torsion_elements
 from spaceform.search import _certify, _ordered_pair, certify_pair
-from spaceform.spectra import EigenExponentMultiset, Spectrum, SumRep, _alpha, _evaluation_grid, root_of_unity
+from spaceform.spectra import EigenExponentMultiset, Spectrum, SumRep, _evaluation_grid, evaluate_f_values, root_of_unity
 
 
 # --- exponent multisets ---------------------------------------------------
@@ -138,6 +142,19 @@ def char_poly_matrix_oracle(rep, x, p: int) -> tuple[int, ...]:
 
 # --- determinant classes ----------------------------------------------------
 
+def alpha_by_definition(g, c):
+    """alpha(c) = sum_{h=1}^{d/gcd(d,c)} r^(gcd(d,c) h) mod m (paper convention)."""
+    if g.m == 1:
+        return 0
+    cc = math.gcd(c, g.d)
+    rc = pow(g.r, cc, g.m)
+    total, t = 0, 1
+    for _ in range(g.d // cc):
+        t = t * rc % g.m
+        total += t
+    return total % g.m
+
+
 def element_walk_det_classes(rep):
     """The determinant classes from every one of the m*n elements, each
     element's factors computed from (a, b) directly."""
@@ -149,7 +166,7 @@ def element_walk_det_classes(rep):
         for b in range(n):
             c = math.gcd(b, d)
             e, nd = d // c, n // d
-            alpha = _alpha(g, b)
+            alpha = alpha_by_definition(g, b)
             factors = []
             for s in rep.summands:
                 y = s.l * (b // c) % nd
@@ -226,8 +243,8 @@ def full_vector_certify_pair(g1, g2, rep_pairs=None):
     g1, g2 = _ordered_pair(g1, g2)
     s1, s2 = (Spectrum.of(SumRep.from_pairs(g, rep_pairs or ((1, 1),))) for g in (g1, g2))
     grid = _evaluation_grid(g1.order, max(s1.point_count, s2.point_count))
-    values = s1.f_values(*grid)
-    if s2.f_values(*grid) != values:
+    values = evaluate_f_values(s1.classes, g1.order, *grid)
+    if evaluate_f_values(s2.classes, g1.order, *grid) != values:
         raise CertificationFailed("fingerprint", "value vectors differ")
     return _certify(s1, s2, grid, values)
 
@@ -304,3 +321,17 @@ def torsion_construct_theorem42_pairs(m_max, d_values=None):
                 certs.append(certify_pair(validate_type1(m, n, c1), validate_type1(m, n, c2)))
     certs.sort(key=lambda c: (c.N, c.m, c.r1, c.r2))
     return certs
+
+
+# --- Theorem-4.2 witness by the generator scan --------------------------------
+
+def scan_theorem42_witness(m, d, r1, r2):
+    """theorem42_witness by scanning every generator g1 of <r1>, least first,
+    for a partner -g1^-1 mod m that generates <r2>."""
+    gens1 = r_generators(validate_type1(m, 2 * d, r1)) if m > 1 else (0,)
+    gens2 = set(r_generators(validate_type1(m, 2 * d, r2))) if m > 1 else {0}
+    for g1 in gens1:
+        partner = (-pow(g1, -1, m)) % m
+        if partner in gens2:
+            return (g1, partner)
+    return None

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import spaceform.cli
-from spaceform import spectra
+from spaceform import errors, groups, numtheory, search, spectra
 from spaceform.errors import ParameterOutOfRange
 from spaceform.groups import validate_type1
 from spaceform.search import SearchConfig
@@ -229,3 +229,19 @@ def test_cli_imports_only_public_names():
                and (node.level or (node.module or "").startswith("spaceform"))
                for alias in node.names if alias.name.startswith("_")]
     assert private == []
+
+
+def test_library_raises_only_typed_errors():
+    # Every raise names a SpaceformError subclass, or AssertionError for an
+    # internal invariant, so the CLI's one handler catches every domain error.
+    untyped = []
+    for module in (groups, numtheory, spectra, search):
+        for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
+            if isinstance(node, ast.Raise):
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                name = getattr(exc, "id", "")
+                cls = getattr(errors, name, None)
+                typed = isinstance(cls, type) and issubclass(cls, errors.SpaceformError)
+                if not typed and name != "AssertionError":
+                    untyped.append(f"{module.__name__}:{node.lineno}: {ast.unparse(node)}")
+    assert untyped == []

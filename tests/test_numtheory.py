@@ -3,6 +3,8 @@ import random
 
 import pytest
 
+from spaceform.errors import ParameterOutOfRange
+from spaceform.groups import GroupElement, validate_type1
 from spaceform.numtheory import (
     carmichael,
     crt_pair,
@@ -117,3 +119,16 @@ def test_next_prime_in_progression():
     t = (p - 1) // 1360
     t0 = (10**18 - 1) // 1360 + 1
     assert all(not is_prime(1 + s * 1360) for s in range(t0, t))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: GroupElement(validate_type1(5, 4, 2), 9, 0),
+    lambda: factorint(0),
+    lambda: multiplicative_order(5, 10),
+    lambda: primitive_root(45),
+    lambda: torsion_elements(6, 2),
+], ids=["GroupElement", "factorint", "multiplicative_order", "primitive_root", "torsion_elements"])
+def test_out_of_domain_arguments_raise_typed_errors(call):
+    # ParameterOutOfRange is a SpaceformError and still a ValueError.
+    with pytest.raises(ParameterOutOfRange):
+        call()

@@ -3,6 +3,7 @@ import math
 import os
 import pickle
 import random
+from itertools import product
 
 import pytest
 
@@ -20,6 +21,7 @@ from spaceform.search import (
     SearchConfig,
     _audible_buckets,
     _bucket_members,
+    _buckets,
     _certify,
     _pairs_for_order,
     audible_invariants,
@@ -35,7 +37,8 @@ from spaceform.search import (
 from spaceform.spectra import Spectrum, SumRep, _evaluation_grid, _screen_value, det_classes, \
     evaluate_f_values, choose_prime, root_of_unity, select_points
 
-from oracles import full_vector_certify_pair, torsion_construct_theorem42_pairs, torsion_scan_canonical
+from oracles import full_vector_certify_pair, scan_theorem42_witness, torsion_construct_theorem42_pairs, \
+    torsion_scan_canonical
 from table1 import TABLE1_ROWS, canonical_row_set
 
 
@@ -316,7 +319,7 @@ def test_certify_pair_search_consistency():
     # degree bound gives, certify to the same bytes.
     s1, s2 = (Spectrum.of(SumRep.rho11(validate_type1(85, 16, r))) for r in (2, 42))
     grid = _evaluation_grid(1360, s1.point_count + 50)
-    longer = _certify(s1, s2, grid, s1.f_values(*grid))
+    longer = _certify(s1, s2, grid, evaluate_f_values(s1.classes, 1360, *grid))
     assert len(grid[2]) > 2 * s1.degree_bound + 1
     assert longer.canonical_bytes() == certs[0].canonical_bytes()
 
@@ -476,6 +479,18 @@ def test_theorem42_witness_examples():
     w = theorem42_witness(965, 8, 43, 588)
     assert w is not None and w[0] * w[1] % 965 == 964
     assert theorem42_witness(85, 8, 2, 9) is None
+
+
+def test_theorem42_witness_matches_generator_scan():
+    # Every ordered pair of members, self-pairs included, of every (m, 2d)
+    # bucket with lcm(orders) = d; buckets with some o_p = 2 have no partner.
+    pairs = [(m, d, g1.r, g2.r) for m in range(3, 400, 2) for d in (2, 4, 8, 16, 32)
+             for (_, n, order, orders), _ in _buckets(m, 2 * d) if order == d
+             for g1, g2 in product(_bucket_members(m, n, d, orders), repeat=2)]
+    witnesses = [theorem42_witness(*pair) for pair in pairs]
+    assert witnesses == [scan_theorem42_witness(*pair) for pair in pairs]
+    assert (len(pairs), sum(w is not None for w in witnesses)) == (471, 104)
+    assert theorem42_witness(1, 8, 0, 0) == scan_theorem42_witness(1, 8, 0, 0) == (0, 0)
 
 
 def test_theorem42_not_applicable_unless_n_is_2d():

@@ -19,6 +19,7 @@ from spaceform.spectra import (
     RepParams,
     Spectrum,
     SumRep,
+    _alpha,
     _molien_from_classes,
     _screen_value,
     almost_conjugate,
@@ -38,6 +39,7 @@ from spaceform.spectra import (
 )
 
 from oracles import (
+    alpha_by_definition,
     char_poly_matrix_oracle,
     contains_zero,
     element_walk_det_classes,
@@ -122,13 +124,11 @@ def test_free_action_smallest_pair_group():
 def test_free_action_exhaustive(fpf_pool_2000):
     # no non-identity element of any fixed-point-free group with mn <= 2000
     # has eigenvalue 1: a zero exponent appears iff some factor has M = 0
-    from spaceform.spectra import _det_factors
     for g in fpf_pool_2000:
-        L = g.m * g.n
         rho = SumRep.rho11(g)
         for a in range(g.m):
             for b in range(g.n):
-                has_one = any(M == 0 for _, M in _det_factors(rho, a, b, L))
+                has_one = any(M == 0 for _, M in sum_rep_det_factors(rho, g.element(a, b)))
                 assert has_one == (a == 0 and b == 0)
 
 
@@ -564,6 +564,16 @@ def test_det_classes_match_element_walk_on_table1():
     assert len(groups) == 20
     for g in groups:
         assert det_classes(SumRep.rho11(g)) == element_walk_det_classes(SumRep.rho11(g)), g
+
+
+def test_alpha_matches_definition(fpf_pool_2000):
+    # Every b of a seeded sample of the pool, of every tenth m = 1 group in
+    # it, and of every Table-1 group with N <= 8000.
+    sample = random.Random(83).sample(fpf_pool_2000, 200)
+    sample += [g for g in fpf_pool_2000 if g.m == 1][::10]
+    sample += [validate_type1(m, n, r) for N, m, n, d, r1, r2 in TABLE1_ROWS if N <= 8000 for r in (r1, r2)]
+    for g in sample:
+        assert [_alpha(g, b) for b in range(g.n)] == [alpha_by_definition(g, b) for b in range(g.n)], g
 
 
 def test_det_factors_consistent_with_exponents():
