@@ -4,8 +4,8 @@ with non-isomorphic Type I fundamental groups, and pair certification.
 Pipeline per order N:
   1. walk the buckets of the audible invariants (m, n, d, gcd(r^c-1, m) for
      c | d) of the non-cyclic fixed-point-free Type I groups of order N,
-     straight from the torsion of Z_m^x, with the number of groups in each --
-     groups differing in any of these cannot be isospectral;
+     straight from the torsion of Z_m^x, for the (m, n) that can put two groups
+     in one (_can_pair): groups in different buckets are not isospectral;
   2. build the groups (canonical r) only of buckets that hold two or more;
   3. screen multi-member buckets at one point, straight from each group's
      orbit walk; fingerprint only the groups that collide there on shared
@@ -108,10 +108,20 @@ def enumerate_canonical(N: int) -> list[TypeIParams]:
 
 def _audible_buckets(N: int):
     """((m, n, d, orders), size) for every audible bucket of order N (_buckets)."""
+    return (bucket for m, n in _splits(N) for bucket in _buckets(m, n))
+
+
+def _splits(N: int):
+    """(m, n) with m*n = N, m >= 3 odd and gcd(m, n) = 1: those of Type I groups."""
     for m in divisors(N):
-        n = N // m
-        if m >= 3 and m % 2 and math.gcd(m, n) == 1:
-            yield from _buckets(m, n)
+        if m >= 3 and m % 2 and math.gcd(m, N // m) == 1:
+            yield m, N // m
+
+
+def _can_pair(m: int, n: int) -> bool:
+    """Can a bucket of (m, n) hold two groups?  Only if two component orders
+    o_p | gcd(n, p - 1) share an odd prime or a 4: else prod phi(o_p) = phi(d)."""
+    return any(math.gcd(a, b) > 2 for a, b in combinations([math.gcd(n, p - 1) for p in factorint(m)], 2))
 
 
 def _buckets(m: int, n: int):
@@ -264,7 +274,7 @@ def _certify_bucket(reps: list[SumRep], N: int) -> list[PairCertificate]:
 
 
 def _pairs_for_order(N: int) -> list[PairCertificate]:
-    return [c for bucket, size in _audible_buckets(N) if size > 1
+    return [c for m, n in _splits(N) if _can_pair(m, n) for bucket, size in _buckets(m, n) if size > 1
             for c in _certify_bucket([SumRep.rho11(g) for g in _bucket_members(*bucket)], N)]
 
 

@@ -29,7 +29,8 @@ import math
 import os
 import random
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import add, sub
 
 from .errors import (
     BadPrime,
@@ -428,26 +429,34 @@ def _class_field_data(classes, p: int, powers):
 
 
 def _packed_dets(class_data, D: int, p: int, points):
-    """Per point, every class determinant by one Horner pass over all classes.
+    """Per point, every class determinant, from a packed forward-difference table.
 
     Coefficient j of z of every class is packed into one integer, one lane of
     w bytes per class (Kronecker substitution).  With the points reduced mod
-    p, a determinant of degree D is below (D+1) * p * z_max^D as an integer,
-    so Horner runs on the packed integer with no reduction, no lane carries
-    into the next, and each lane is reduced mod p once at the end.
+    p, a determinant of degree D is below (D+1) * p * z_max^D, so it fits its
+    lane unreduced and each lane is reduced mod p once.  diffs[k] holds the
+    packed Delta^k det(at), k = 0..D, seeded by Horner at at, ..., at + D; D
+    additions step it to at + 1.  As exact integers its entries may spill over
+    their lanes.  A point behind at, or more than D past it, reseeds the table.
     """
     points = [z % p for z in points]
     w = ((D + 1).bit_length() + p.bit_length() + D * max(points).bit_length() + 7) // 8
     size = w * len(class_data)
+    lanes = [slice(i, i + w) for i in range(0, size, w)]
     from_bytes = int.from_bytes
     packed = [from_bytes(b"".join(coeffs[j].to_bytes(w, "little") for _, coeffs in class_data), "little")
               for j in range(D + 1)]
+    at = -D - 1
     for z in points:
-        h = packed[D]
-        for j in range(D - 1, -1, -1):
-            h = h * z + packed[j]
-        lanes = h.to_bytes(size, "little")
-        yield [from_bytes(lanes[i:i + w], "little") % p for i in range(0, size, w)]
+        if not at <= z <= at + D:
+            at, diffs = z, [reduce(lambda h, c: h * x + c, packed[::-1]) for x in range(z, z + D + 1)]
+            for k in range(1, D + 1):
+                diffs[k:] = map(sub, diffs[k:], diffs[k - 1:D])
+        for _ in range(z - at):
+            diffs = [*map(add, diffs, diffs[1:]), diffs[D]]
+        at = z
+        row = diffs[0].to_bytes(size, "little")
+        yield [from_bytes(row[lane], "little") % p for lane in lanes]
 
 
 def _sum_over_classes(terms_per_point, group_order: int, p: int, points) -> tuple[int, ...]:
@@ -467,16 +476,20 @@ def _sum_over_classes(terms_per_point, group_order: int, p: int, points) -> tupl
     return tuple(values)
 
 
+def _check_f_value_budget(class_count: int, point_count: int) -> None:
+    terms = class_count * point_count
+    if terms > EVALUATION_LIMIT:
+        raise SizeLimitExceeded(f"{class_count} determinant classes x {point_count} points = "
+                                f"{terms} F-value terms exceeds limit {EVALUATION_LIMIT}")
+
+
 def evaluate_f_values(classes, group_order: int, p: int, root: int, points) -> tuple[int, ...]:
     """Exact values of F_G at the given points (classes from det_classes, so
     every exponent M is below L = group_order): each class determinant is
-    expanded once, and one packed Horner pass per point evaluates them all.
-    Refused before any work above EVALUATION_LIMIT terms.
+    expanded once, and one packed table of forward differences steps them all
+    from point to point.  Refused before any work above EVALUATION_LIMIT terms.
     """
-    terms = len(classes) * len(points)
-    if terms > EVALUATION_LIMIT:
-        raise SizeLimitExceeded(f"{len(classes)} determinant classes x {len(points)} points = "
-                                f"{terms} F-value terms exceeds limit {EVALUATION_LIMIT}")
+    _check_f_value_budget(len(classes), len(points))
     data = _class_field_data(classes, p, _root_powers(p, root, group_order))
     counts = [count for _, count in classes]
     dets = _packed_dets(data, len(data[0][1]) - 1, p, points)
@@ -564,7 +577,9 @@ def shared_fingerprints(reps: list[SumRep], p: int | None = None) -> list[Spectr
         raise GroupMismatch("shared fingerprints require equal group order")
     spectra = [Spectrum.of(sr) for sr in reps]
     db = max(s.degree_bound for s in spectra)
-    p, root, points = _evaluation_grid(reps[0].group.order, max(s.point_count for s in spectra), p)
+    count = max(s.point_count for s in spectra)
+    _check_f_value_budget(max(len(s.classes) for s in spectra), count)  # before select_points
+    p, root, points = _evaluation_grid(reps[0].group.order, count, p)
     out = []
     for s in spectra:
         g = s.rep.group

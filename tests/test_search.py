@@ -22,8 +22,10 @@ from spaceform.search import (
     _audible_buckets,
     _bucket_members,
     _buckets,
+    _can_pair,
     _certify,
     _pairs_for_order,
+    _splits,
     audible_invariants,
     certify_pair,
     construct_theorem42_pairs,
@@ -133,6 +135,33 @@ def test_audible_buckets_match_torsion_scan():
                 assert {audible_invariants(g) for g in members} == {key}
                 assert members == scanned[key]
         assert walked == {key: len(members) for key, members in scanned.items()}, N
+
+
+def test_can_pair_holds_wherever_a_bucket_holds_two_groups():
+    # For every (m, n) with m*n <= 6000; it refuses most of them, and every
+    # (m, n) with m a prime power.
+    splits = [(m, n) for N in range(2, 6001) for m, n in _splits(N)]
+    refused = [(m, n) for m, n in splits if not _can_pair(m, n)]
+    assert all(size == 1 for m, n in refused for _, size in _buckets(m, n))
+    assert 2 * len(refused) > len(splits)
+    assert not any(_can_pair(m, n) for m, n in splits if len(factorint(m)) == 1)
+    # Orders 2 and 4 share only a 2; 4 and 4, or 3 and 3, can pair.
+    assert not _can_pair(3 * 5, 4) and _can_pair(5 * 13, 4) and _can_pair(7 * 13, 3)
+
+
+def test_pairs_for_order_walks_every_multi_member_bucket(monkeypatch):
+    # On a seeded sample of orders up to 30000, the search builds exactly the
+    # multi-member buckets of the full walk.
+    from spaceform import search
+
+    walked = []
+    monkeypatch.setattr(search, "_bucket_members", lambda *bucket: walked.append(bucket) or [])
+    monkeypatch.setattr(search, "_certify_bucket", lambda reps, N: [])
+    orders = random.Random(2027).sample(range(2, 30001), 3000)
+    multi = [bucket for N in orders for bucket, size in _audible_buckets(N) if size > 1]
+    for N in orders:
+        search._pairs_for_order(N)
+    assert len(multi) > 100 and walked == multi
 
 
 def test_prebucket_pipeline_matches_naive_all_pairs():

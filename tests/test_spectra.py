@@ -390,6 +390,35 @@ def test_f_values_match_reference_on_table1():
         _assert_matches_reference(SumRep.rho11(g), (1, 300), high)
 
 
+def test_f_values_match_reference_on_skipped_and_scattered_points():
+    # With L = 20 and p = 41 select_points skips the 20 squares mod 41, so the
+    # forward-difference table steps over them.  Points more than D past the
+    # last one, points going backwards, repeats and points at or above p
+    # reseed it.  Two-summand sums reach D = 8 (order 20) and D = 32 (1360);
+    # on the first three points of 1360 the table's entries spill over lanes
+    # sized for z = 4, and the emitted determinants still fit.
+    p = 41
+    root = root_of_unity(p, 20)
+    grid = select_points(p, 20, 16)
+    assert set(range(2, grid[-1])) - set(grid) and max(b - a for a, b in zip(grid, grid[1:])) <= 4
+    scattered = (grid[-1], grid[0], grid[0], grid[5], grid[0] + p, grid[3] + 2 * p, grid[1])
+    for rep in (SumRep.rho11(G54), SumRep.from_pairs(G54, ((1, 1), (2, 3)))):
+        classes = det_classes(rep)
+        for points in (grid, grid[::-1], grid[::3], scattered, grid + scattered):
+            assert evaluate_f_values(classes, 20, p, root, points) == \
+                reference_f_values(classes, 20, p, root, points), (rep, points)
+        assert evaluate_f_values(classes, 20, p, root, ()) == ()
+    rep = SumRep.from_pairs(G85, ((1, 1), (3, 5)))
+    assert rep.degree == 32
+    classes = det_classes(rep)
+    p = choose_prime(1360)
+    root = root_of_unity(p, 1360)
+    grid = select_points(p, 1360, 40)
+    for points in (grid, grid[:3], grid[:3] + (200, 100, 100, 40, 73, p + 5)):
+        assert evaluate_f_values(classes, 1360, p, root, points) == \
+            reference_f_values(classes, 1360, p, root, points)
+
+
 def test_singular_point_raises():
     sr = SumRep.rho11(G54)
     p = choose_prime(20)
@@ -444,6 +473,13 @@ def test_evaluate_f_values_refuses_over_budget(monkeypatch):
     monkeypatch.setattr(spectra, "_root_powers", _refuse)
     with pytest.raises(SizeLimitExceeded, match=f"20 determinant classes x {len(at_limit) + 1} points"):
         evaluate_f_values(classes, 1360, p, root, range(2, 3 + len(at_limit)))
+
+
+def test_fingerprint_refuses_over_budget_before_the_grid(monkeypatch):
+    # 2118 classes x 67781 points: refused before select_points builds them.
+    monkeypatch.setattr(spectra, "select_points", _refuse)
+    with pytest.raises(SizeLimitExceeded, match="2118 determinant classes x 67781 points"):
+        fingerprint(SumRep.rho11(validate_type1(1853, 128, 76)))
 
 
 def test_shared_fingerprints_requires_equal_order():
