@@ -6,8 +6,10 @@ canonical one-line bytes with --json); diagnostics go to stderr; exit code 0
 iff status is ok.  Library errors and OSErrors (an --out path that cannot be
 a directory) become an error record with exit code 1; size refusals come
 from the library's one limit, spectra.EVALUATION_LIMIT.  SPACEFORM_PRIME_SEED
-shifts the deterministic prime scan and thereby breaks byte-reproducibility
-between differently-seeded runs.
+shifts the deterministic scan for the certificate prime (above 10^18) and
+thereby breaks byte-reproducibility between differently-seeded runs.  It
+leaves the one-point screen's own prime below 2^30 alone: equal F_G agree
+mod every prime = 1 (mod |G|), so that prime never reaches an output.
 """
 
 from __future__ import annotations

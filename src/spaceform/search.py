@@ -8,8 +8,11 @@ Pipeline per order N:
      in one (_can_pair): groups in different buckets are not isospectral;
   2. build the groups (canonical r) only of buckets that hold two or more;
   3. screen multi-member buckets at one point, straight from each group's
-     orbit walk; fingerprint only the groups that collide there on shared
-     points, and refine by the exact value vectors;
+     orbit walk, modulo a prime q = 1 (mod N) below 2^30 (_screen_grid):
+     isospectral groups have equal F_G, so they agree at every non-pole point
+     mod every such prime, and a one-digit q keeps the screen cheap;
+     fingerprint only the groups that collide there on shared points at the
+     certificate prime above 10^18, and refine by the exact value vectors;
   4. certify every unordered pair inside a refined bucket (non-isomorphism,
      fingerprint equality at Spectrum.point_count points, almost-conjugacy).
 """
@@ -46,6 +49,7 @@ from .spectra import (
     SpectrumFingerprint,
     SumRep,
     _evaluation_grid,
+    _screen_grid,
     _screen_value,
     almost_conjugate,
     evaluate_f_values,
@@ -250,19 +254,21 @@ def _certify_bucket(reps: list[SumRep], N: int) -> list[PairCertificate]:
     """The certificates of every pair of reps of order N whose F-values agree.
 
     Each rep is screened at one point straight from its orbit walk
-    (_screen_value).  Only reps that share a screen value get a Spectrum and
-    the full vector, on a grid built only then, at the largest point count
-    among the spectra built; a chance collision only costs a full vector.
-    Each distinct class multiset is evaluated once.
+    (_screen_value), modulo the screen's own prime below 2^30 (_screen_grid).
+    Only reps that share a screen value get a Spectrum and the full vector,
+    on the certificate grid (prime above 10^18) built only then, at the
+    largest point count among the spectra built; a chance collision at
+    either prime only costs a full vector.  Each distinct class multiset is
+    evaluated once.
     """
-    p, root, (z,) = _evaluation_grid(N, 1)
+    q, q_root, (z,) = _screen_grid(N)
     screened: dict[int, list[SumRep]] = {}
     for rep in reps:
-        screened.setdefault(_screen_value(rep, p, root, z), []).append(rep)
+        screened.setdefault(_screen_value(rep, q, q_root, z), []).append(rep)
     spectra = {rep.group: Spectrum.of(rep) for group in screened.values() if len(group) > 1 for rep in group}
     if not spectra:
         return []
-    grid = _evaluation_grid(N, max(s.point_count for s in spectra.values()), p)
+    grid = _evaluation_grid(N, max(s.point_count for s in spectra.values()))
     values: dict[tuple, tuple[int, ...]] = {}
     buckets: dict[tuple, list[TypeIParams]] = {}
     for g, s in spectra.items():

@@ -48,6 +48,10 @@ from .numtheory import geometric_sum_mod, harmonic_dim, next_prime_in_progressio
 DEFAULT_PRIME_FLOOR = 10**18
 DEFAULT_MOLIEN_TRUNCATION = 200
 
+# The one-point screen's prime lies above this floor: for every order to 30000
+# it stays below 2^30, so it and every factor it reduces fit in one CPython digit.
+_SCREEN_PRIME_FLOOR = 2**29
+
 # Most terms of a full F-value vector, #classes * #points, or of a Molien
 # series to K, #classes * K * degree.  The largest Table-1 spectrum (N = 29648)
 # needs 2,997,882 F-value terms; the cost grows with the square of #classes.
@@ -395,6 +399,14 @@ def _evaluation_grid(L: int, count: int, p: int | None = None):
         p = choose_prime(L)
     root = root_of_unity(p, L)
     return p, root, select_points(p, L, count)
+
+
+def _screen_grid(L: int):
+    """The (q, root, (z,)) of the one-point screen at order L: the least prime
+    q = 1 + t*L above 2^29, unshifted by SPACEFORM_PRIME_SEED.  Equal F_G agree
+    at every non-pole point mod every prime = 1 (mod L), so any such q is sound
+    for the screen; a small one only makes its arithmetic cheaper."""
+    return _evaluation_grid(L, 1, _choose_prime(L, _SCREEN_PRIME_FLOOR, 0))
 
 
 def _root_powers(p: int, root: int, L: int) -> list[int]:

@@ -16,7 +16,7 @@ from spaceform.errors import (
     SpaceformError,
 )
 from spaceform.groups import is_fixed_point_free, is_isomorphic, validate_type1
-from spaceform.numtheory import divisors, factorint, prime_factors
+from spaceform.numtheory import divisors, factorint, next_prime_in_progression, prime_factors
 from spaceform.search import (
     SearchConfig,
     _audible_buckets,
@@ -36,7 +36,7 @@ from spaceform.search import (
     theorem42_applicable,
     theorem42_witness,
 )
-from spaceform.spectra import Spectrum, SumRep, _evaluation_grid, _screen_value, det_classes, \
+from spaceform.spectra import Spectrum, SumRep, _evaluation_grid, _screen_grid, _screen_value, det_classes, \
     evaluate_f_values, choose_prime, root_of_unity, select_points
 
 from oracles import full_vector_certify_pair, scan_theorem42_witness, torsion_construct_theorem42_pairs, \
@@ -292,6 +292,30 @@ def test_pairs_for_order_survives_screen_collisions(monkeypatch):
     assert len(distinct) > 2
     assert [(c.r1, c.r2) for c in search._pairs_for_order(1360)] == [(2, 42)]
     assert len(full) == len(set(full)) and set(full) == distinct
+
+
+def test_screen_prime_never_reaches_a_result(monkeypatch):
+    # The screen only picks the groups that get a Spectrum.  Screened at its
+    # own prime q, at the certificate grid's prime above 10^18, or at the next
+    # prime = 1 (mod N) past q, every order gives the same certificate bytes
+    # from the same Spectrum.of calls.
+    from spaceform import search
+
+    def next_prime_grid(N):
+        return _evaluation_grid(N, 1, next_prime_in_progression(N, _screen_grid(N)[0]))
+
+    built = []
+    of = Spectrum.of.__func__
+    monkeypatch.setattr(Spectrum, "of", classmethod(lambda cls, rep: built.append(rep.group) or of(cls, rep)))
+    orders = sorted({N for N, *_ in TABLE1_ROWS if N <= 3600}) + random.Random(2029).sample(range(2, 6001), 200)
+    outcomes = []
+    for grid in (_screen_grid, lambda N: _evaluation_grid(N, 1), next_prime_grid):
+        monkeypatch.setattr(search, "_screen_grid", grid)
+        built.clear()
+        certs = [c.canonical_bytes() for N in orders for c in search._pairs_for_order(N)]
+        outcomes.append((certs, list(built)))
+    assert len(outcomes[0][0]) == 4 and outcomes[0][1]
+    assert outcomes[1] == outcomes[0] and outcomes[2] == outcomes[0]
 
 
 def test_out_of_range_parameters_raise_spaceform_error():

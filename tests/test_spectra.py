@@ -15,12 +15,14 @@ from spaceform.errors import (
 )
 from spaceform import spectra
 from spaceform.groups import is_fixed_point_free, validate_type1
+from spaceform.numtheory import is_prime, prime_factors
 from spaceform.spectra import (
     RepParams,
     Spectrum,
     SumRep,
     _alpha,
     _molien_from_classes,
+    _screen_grid,
     _screen_value,
     almost_conjugate,
     char_poly_exponents,
@@ -454,6 +456,38 @@ def test_screen_value_matches_evaluator_and_reference(fpf_pool_2000):
         expected = reference_f_values(element_walk_det_classes(rep), L, p, root, points)
         assert evaluate_f_values(det_classes(rep), L, p, root, points) == expected, rep
         assert tuple(_screen_value(rep, p, root, z) for z in points) == expected, rep
+
+
+def test_screen_value_matches_reference_at_the_screen_prime(fpf_pool_2000):
+    # The same reps as above, screened at their own prime below 2^30
+    # (_screen_grid), against the reference evaluator on the element walk's
+    # classes at that prime, at points below q and at or above it.
+    rng = random.Random(79)
+    reps = [SumRep.rho11(g) for g in rng.sample(fpf_pool_2000, 60)]
+    reps += _random_sum_reps(rng, fpf_pool_2000, 40)
+    table1 = {validate_type1(m, n, r) for N, m, n, d, r1, r2 in TABLE1_ROWS if N <= 8000 for r in (r1, r2)}
+    reps += [SumRep.rho11(g) for g in sorted(table1, key=lambda g: (g.m, g.n, g.r))]
+    for rep in reps:
+        L = rep.group.order
+        q, root, screen_points = _screen_grid(L)
+        high = tuple(z for z in (q, q + 2, 2 * q + 3) if pow(z, L, q) != 1)
+        points = select_points(q, L, 2) + high
+        assert points[:1] == screen_points and len(high) >= 2
+        expected = reference_f_values(element_walk_det_classes(rep), L, q, root, points)
+        assert tuple(_screen_value(rep, q, root, z) for z in points) == expected, rep
+
+
+def test_screen_grid_fits_one_digit_for_every_order_to_30000():
+    # The screen's prime is the least q = 1 (mod N) above 2^29 and stays
+    # below 2^30, with a root of exact order N and a point that is no pole.
+    largest = 0
+    for N in range(2, 30001):
+        q, root, (z,) = _screen_grid(N)
+        assert 2**29 < q < 2**30 and q % N == 1 and is_prime(q), N
+        assert pow(root, N, q) == 1 and all(pow(root, N // f, q) != 1 for f in prime_factors(N)), N
+        assert pow(z, N, q) != 1, N
+        largest = max(largest, q)
+    assert largest == 540_250_331
 
 
 def _refuse(*args):
