@@ -12,6 +12,10 @@ from functools import lru_cache
 
 from .errors import ParameterOutOfRange
 
+# Deterministic Miller-Rabin with the bases 2, 7, 61 below 4,759,123,141, the
+# least strong pseudoprime to all three (Jaeschke 1993).
+_MR_THREE_BASE_BOUND = 4_759_123_141
+_MR_BASES_THREE = (2, 7, 61)
 # Deterministic Miller-Rabin below this bound with the 13 smallest prime bases
 # (Sorenson & Webster).
 _MR_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
@@ -32,8 +36,13 @@ def is_prime(n: int) -> bool:
     d = n - 1
     s = (d & -d).bit_length() - 1
     d >>= s
-    bases = _MR_BASES_SMALL if n < _MR_DETERMINISTIC_BOUND else _MR_BASES_LARGE
+    if n < _MR_THREE_BASE_BOUND:
+        bases = _MR_BASES_THREE
+    else:
+        bases = _MR_BASES_SMALL if n < _MR_DETERMINISTIC_BOUND else _MR_BASES_LARGE
     for a in bases:
+        if a % n == 0:  # n = 61: a base n divides proves nothing
+            continue
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue

@@ -53,8 +53,11 @@ DEFAULT_MOLIEN_TRUNCATION = 200
 _SCREEN_PRIME_FLOOR = 2**29
 
 # Most terms of a full F-value vector, #classes * #points, or of a Molien
-# series to K, #classes * K * degree.  The largest Table-1 spectrum (N = 29648)
-# needs 2,997,882 F-value terms; the cost grows with the square of #classes.
+# series to K, #classes * K * degree.  The F-value count measures the size of
+# the vector, not the work: a shifted vector (_shifted_fractions) evaluates
+# about #classes^2 * D / blocks class determinants and makes 2 * blocks
+# packed products.  The largest Table-1 spectrum (N = 29648) has 2,997,882
+# F-value terms; the work still grows with the square of #classes.
 EVALUATION_LIMIT = 10_000_000
 
 # (e, M) pairs: one (1 - eta^M z^e) factor of det(I - rho(g) z).
@@ -471,20 +474,35 @@ def _packed_dets(class_data, D: int, p: int, points):
         yield [from_bytes(row[lane], "little") % p for lane in lanes]
 
 
-def _sum_over_classes(terms_per_point, group_order: int, p: int, points) -> tuple[int, ...]:
-    """F_G(z) = (1-z^2)/|G| * sum_C count_C / det_C(z) at each point, from
-    the (count_C, det_C(z)) of every class there; the sum is kept as one
-    fraction num/den, so each point costs one modular inverse."""
-    inv_order = pow(group_order, -1, p)
-    values = []
-    for z, terms in zip(points, terms_per_point):
-        num, den = 0, 1
-        for count, det in terms:
-            num = (num * det + count * den) % p
-            den = den * det % p
+def _class_fraction(terms, p: int) -> tuple[int, int]:
+    """sum_C count_C / det_C(z) as one fraction (num, den) from the
+    (count_C, det_C(z)) of every class at one point.  Both are values of
+    polynomials: den = prod_C det_C, num = sum_C count_C * prod_{C' != C} det_C'."""
+    num, den = 0, 1
+    for count, det in terms:
+        num = (num * det + count * den) % p
+        den = den * det % p
+    return num, den
+
+
+def _f_from_fractions(fractions, group_order: int, p: int, points) -> tuple[int, ...]:
+    """F_G(z) = (1-z^2)/|G| * num/den at each point from its class fraction.
+    The dens are inverted together (Montgomery's trick): one modular inverse
+    for the whole vector."""
+    fractions = list(fractions)
+    prefix, acc = [], 1
+    for z, (_, den) in zip(points, fractions):
         if den == 0:
             raise SingularPoint(f"z = {z} is a pole of some det(I - gz)")
-        values.append((1 - z * z) * inv_order % p * num % p * pow(den, -1, p) % p)
+        prefix.append(acc)
+        acc = acc * den % p
+    inv = pow(acc * group_order, -1, p)
+    values = [0] * len(fractions)
+    for i in range(len(fractions) - 1, -1, -1):
+        num, den = fractions[i]
+        z = points[i]
+        values[i] = (1 - z * z) * num % p * prefix[i] % p * inv % p
+        inv = inv * den % p
     return tuple(values)
 
 
@@ -495,17 +513,93 @@ def _check_f_value_budget(class_count: int, point_count: int) -> None:
                                 f"{terms} F-value terms exceeds limit {EVALUATION_LIMIT}")
 
 
+def _block_count(class_count: int) -> int:
+    """Blocks of classes for a shifted full vector, about sqrt(#classes)/2:
+    the nodes cost about #classes^2 * D / blocks lane steps, against two
+    packed products per block and blocks * #points steps to combine them."""
+    return max(1, math.isqrt(class_count) // 2)
+
+
+def _shifted_fractions(blocks, D: int, p: int, lo: int, span: int) -> tuple[list[int], list[int]]:
+    """The class fraction (_class_fraction) at lo + t for every t < span < p,
+    as lists of nums and dens, each point's pair up to a nonzero factor.
+
+    Per block of classes B, Num_B and Den_B are polynomials of degree at
+    most n = |B|*D.  Both are evaluated at the nodes lo, ..., lo + n only and
+    shifted to every t > n by Lagrange's formula over the nodes,
+        P(lo + t) = prod_{i<=n} (t - i) * sum_j g_j / (t - j),
+        g_j = P(lo + j) * (-1)^(n-j) / (j! (n-j)!),
+    whose sums over j for all t are one Kronecker-packed product of g with
+    the 1/s, s < span.  The factor prod_i (t - i) is common to Num_B and
+    Den_B and nonzero (t < p), so it is dropped.  Each block's fraction is
+    added into the running one at every point as soon as it is shifted.
+    """
+    n_max = min(max(map(len, blocks)) * D, span - 1)
+    inv = [0, 1]  # 1/s mod p, from p = (p // s) * s + p % s
+    for s in range(2, span):
+        inv.append((p - p // s) * inv[p % s] % p)
+    inv_fact = [1]
+    for s in range(1, n_max + 1):
+        inv_fact.append(inv_fact[-1] * inv[s] % p)
+    w = (2 * p.bit_length() + (n_max + 1).bit_length() + 7) // 8
+    packed_inv = int.from_bytes(b"".join([x.to_bytes(w, "little") for x in inv]), "little")
+    nums = dens = None
+    for block in blocks:
+        block_nums, block_dens = _block_fractions(block, D, p, lo, span, inv_fact, packed_inv, w)
+        if nums is None:
+            nums, dens = block_nums, block_dens
+        else:
+            nums = [(x * c + v * y) % p for x, y, v, c in zip(nums, dens, block_nums, block_dens)]
+            dens = [y * c % p for y, c in zip(dens, block_dens)]
+    return nums, dens
+
+
+def _block_fractions(block, D: int, p: int, lo: int, span: int, inv_fact, packed_inv: int, w: int):
+    """[Num_B], [Den_B] at lo + t for every t < span, for one block of
+    _shifted_fractions: the packed pass at the n + 1 nodes, then the shift."""
+    n = min(len(block) * D, span - 1)
+    counts = [count for count, _ in block]
+    nodes = zip(*[_class_fraction(zip(counts, row), p) for row in _packed_dets(block, D, p, range(lo, lo + n + 1))])
+    if n + 1 == span:
+        return [list(values) for values in nodes]
+    weights = [inv_fact[j] * inv_fact[n - j] % p for j in range(n + 1)]
+    weights[1 - n % 2::2] = [p - c for c in weights[1 - n % 2::2]]  # (-1)^(n-j): odd n - j
+    out = []
+    for values in nodes:
+        g = int.from_bytes(b"".join([(v * c % p).to_bytes(w, "little") for v, c in zip(values, weights)]), "little")
+        row = (g * packed_inv).to_bytes((n + span) * w, "little")
+        out.append([*values, *[int.from_bytes(row[i:i + w], "little") % p for i in range((n + 1) * w, span * w, w)]])
+    return out
+
+
 def evaluate_f_values(classes, group_order: int, p: int, root: int, points) -> tuple[int, ...]:
     """Exact values of F_G at the given points (classes from det_classes, so
     every exponent M is below L = group_order): each class determinant is
     expanded once, and one packed table of forward differences steps them all
-    from point to point.  Refused before any work above EVALUATION_LIMIT terms.
+    from point to point.  When the points fill at least half of an integer
+    range shorter than p, as every select_points grid does, and outnumber
+    the nodes of the largest block of classes (_block_count), each block is
+    evaluated at its degree + 1 nodes only and shifted to the rest of the
+    range (_shifted_fractions).  Refused before any work above
+    EVALUATION_LIMIT terms.
     """
     _check_f_value_budget(len(classes), len(points))
+    if not points:
+        return ()
     data = _class_field_data(classes, p, _root_powers(p, root, group_order))
-    counts = [count for _, count in classes]
-    dets = _packed_dets(data, len(data[0][1]) - 1, p, points)
-    return _sum_over_classes((zip(counts, row) for row in dets), group_order, p, points)
+    D = len(data[0][1]) - 1
+    k = len(data)
+    nb = min(_block_count(k), k)
+    blocks = [data[i * k // nb:(i + 1) * k // nb] for i in range(nb)]
+    lo = min(points)
+    span = max(points) - lo + 1
+    if max(map(len, blocks)) * D + 1 < len(points) and span <= 2 * len(points) and span < p:
+        nums, dens = _shifted_fractions(blocks, D, p, lo, span)
+        fractions = [(nums[z - lo], dens[z - lo]) for z in points]
+    else:
+        counts = [count for count, _ in data]
+        fractions = (_class_fraction(zip(counts, row), p) for row in _packed_dets(data, D, p, points))
+    return _f_from_fractions(fractions, group_order, p, points)
 
 
 def _screen_value(rep: SumRep, p: int, root: int, z: int) -> int:
@@ -533,7 +627,7 @@ def _screen_value(rep: SumRep, p: int, root: int, z: int) -> int:
                 j = u * kr % m
                 det = det * ((c - zetas[j] * ox - zetas[-j] * ox_inv) % p) % p
             orbit_dets.append((weight, det))
-    return _sum_over_classes([orbit_dets], L, p, (z,))[0]
+    return _f_from_fractions([_class_fraction(orbit_dets, p)], L, p, (z,))[0]
 
 
 @dataclass(frozen=True)

@@ -33,6 +33,22 @@ def test_is_prime_larger():
     assert is_prime(1000000000000002961)
 
 
+def test_is_prime_matches_a_sieve_and_rejects_pseudoprimes():
+    # Below 4,759,123,141 only the bases 2, 7 and 61 run; 61 itself is prime
+    # although its own base divides it.  3,215,031,751 is a strong
+    # pseudoprime to 2, 3, 5 and 7; 4,759,123,141 to 2, 7 and 61.
+    limit = 200_000
+    sieve = bytearray([1]) * limit
+    sieve[:2] = b"\0\0"
+    for q in range(2, math.isqrt(limit) + 1):
+        if sieve[q]:
+            sieve[q * q::q] = bytes(len(range(q * q, limit, q)))
+    assert [n for n in range(limit) if is_prime(n)] == [n for n in range(limit) if sieve[n]]
+    assert 3_215_031_751 == 151 * 751 * 28351 and not is_prime(3_215_031_751)
+    assert 4_759_123_141 == 48781 * 97561 and not is_prime(4_759_123_141)
+    assert is_prime(4_759_123_129) and is_prime(4_759_123_151)
+
+
 def test_factorint_roundtrip():
     rng = random.Random(7)
     for _ in range(200):

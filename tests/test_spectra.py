@@ -421,6 +421,89 @@ def test_f_values_match_reference_on_skipped_and_scattered_points():
             reference_f_values(classes, 1360, p, root, points)
 
 
+def _spy_blocks(monkeypatch):
+    # Record the class count of every block that the shifted path evaluates.
+    sizes = []
+    block_fractions = spectra._block_fractions
+
+    def spy(block, *args):
+        sizes.append(len(block))
+        return block_fractions(block, *args)
+
+    monkeypatch.setattr(spectra, "_block_fractions", spy)
+    return sizes
+
+
+# The default block rule, one block, two blocks and one class per block.
+BLOCK_RULES = (spectra._block_count, lambda k: 1, lambda k: 2, lambda k: k)
+
+
+def test_shifted_f_values_match_reference_on_full_grids(fpf_pool_2000, monkeypatch):
+    # Full point_count grids take the shifted path under every block rule:
+    # seeded non-cyclic pool groups to order 600, two-summand sums (D = 32)
+    # and the Table-1 groups to 3600, against the reference evaluator.
+    rng = random.Random(83)
+    reps = [SumRep.rho11(g) for g in rng.sample([g for g in fpf_pool_2000 if not g.is_cyclic and g.order <= 600], 8)]
+    reps += [SumRep.from_pairs(G85, ((1, 1), (3, 5))), SumRep.from_pairs(G54, ((1, 1), (2, 3)))]
+    reps += [SumRep.from_pairs(validate_type1(221, 16, 8), ((1, 1), (3, 3)))]
+    reps += [SumRep.rho11(validate_type1(m, n, r))
+             for N, m, n, d, r1, r2 in TABLE1_ROWS if N <= 3600 for r in (r1, r2)]
+    assert sum(rep.degree == 32 for rep in reps) >= 2
+    sizes = _spy_blocks(monkeypatch)
+    for rep in reps:
+        s = Spectrum.of(rep)
+        L = rep.group.order
+        p, root, points = spectra._evaluation_grid(L, s.point_count)
+        expected = reference_f_values(s.classes, L, p, root, points)
+        k = len(s.classes)
+        for rule in BLOCK_RULES:
+            monkeypatch.setattr(spectra, "_block_count", rule)
+            sizes.clear()
+            assert evaluate_f_values(s.classes, L, p, root, points) == expected, (rep, rule(k))
+            assert len(sizes) == min(rule(k), k) and sum(sizes) == k, (rep, rule(k))
+
+
+def test_shifted_f_values_raise_only_at_requested_poles(monkeypatch):
+    # L = 20 and p = 41: select_points skips the squares, so the nodes
+    # lo..lo+n of a block hold skipped roots of unity, and some are poles.
+    # A pole among the nodes alone raises nothing; a requested pole in the
+    # shifted range raises SingularPoint.
+    p = 41
+    root = root_of_unity(p, 20)
+    grid = select_points(p, 20, 20)
+    assert grid[-1] - grid[0] < p - 1
+    sizes = _spy_blocks(monkeypatch)
+    rho, summed = SumRep.rho11(G54), SumRep.from_pairs(G54, ((1, 1), (2, 3)))
+    for rep, rule in ((rho, BLOCK_RULES[2]), (rho, BLOCK_RULES[3]), (summed, BLOCK_RULES[3])):
+        classes = det_classes(rep)
+        poles = []
+        for z in range(grid[0], grid[-1] + 1):
+            try:
+                reference_f_values(classes, 20, p, root, (z,))
+            except SingularPoint:
+                poles.append(z)
+        monkeypatch.setattr(spectra, "_block_count", rule)
+        sizes.clear()
+        assert evaluate_f_values(classes, 20, p, root, grid) == reference_f_values(classes, 20, p, root, grid)
+        last_node = grid[0] + max(sizes) * rep.degree
+        assert any(z <= last_node for z in poles) and any(z > last_node for z in poles), (rep, poles)
+        for z in poles:
+            if z > last_node:
+                with pytest.raises(SingularPoint, match=f"z = {z} "):
+                    evaluate_f_values(classes, 20, p, root, grid + (z,))
+
+
+def test_sparse_points_take_the_direct_path(monkeypatch):
+    # (2, 10**6) spans far more than twice its length: no block is shifted.
+    monkeypatch.setattr(spectra, "_shifted_fractions", _refuse)
+    monkeypatch.setattr(spectra, "_block_count", lambda k: k)
+    classes = det_classes(SumRep.rho11(G85))
+    p = choose_prime(1360)
+    root = root_of_unity(p, 1360)
+    for points in ((2, 10**6), (10**6, 2, 3)):
+        assert evaluate_f_values(classes, 1360, p, root, points) == reference_f_values(classes, 1360, p, root, points)
+
+
 def test_singular_point_raises():
     sr = SumRep.rho11(G54)
     p = choose_prime(20)
