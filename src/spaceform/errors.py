@@ -44,7 +44,8 @@ class ParameterOutOfRange(SpaceformError):
 
 
 class SizeLimitExceeded(SpaceformError):
-    """Input refused: its brute-force or evaluation size is above a fixed limit."""
+    """Input refused: its brute-force, evaluation or factoring size is above a
+    fixed limit."""
 
 
 class InvalidAutomorphism(SpaceformError):

@@ -5,7 +5,9 @@ Pipeline per order N:
   1. walk the buckets of the audible invariants (m, n, d, gcd(r^c-1, m) for
      c | d) of the non-cyclic fixed-point-free Type I groups of order N,
      straight from the torsion of Z_m^x, for the (m, n) that can put two groups
-     in one (_can_pair): groups in different buckets are not isospectral;
+     in one: a pairing divisor of m divides n (_can_pair).  Groups in different
+     buckets are not isospectral, and only the orders with such a split are
+     searched (_pairing_orders);
   2. build the groups (canonical r) only of buckets that hold two or more;
   3. screen multi-member buckets at one point, straight from each group's
      orbit walk, modulo a prime q = 1 (mod N) below 2^30 (_screen_grid):
@@ -124,8 +126,33 @@ def _splits(N: int):
 
 def _can_pair(m: int, n: int) -> bool:
     """Can a bucket of (m, n) hold two groups?  Only if two component orders
-    o_p | gcd(n, p - 1) share an odd prime or a 4: else prod phi(o_p) = phi(d)."""
-    return any(math.gcd(a, b) > 2 for a, b in combinations([math.gcd(n, p - 1) for p in factorint(m)], 2))
+    o_p | gcd(n, p - 1) share an odd prime or a 4 (else prod phi(o_p) = phi(d)),
+    that is, if a pairing divisor of m divides n."""
+    return any(n % f == 0 for f in _pair_divisors(m))
+
+
+def _pair_divisors(m: int) -> set[int]:
+    """The odd primes of g = gcd(p - 1, q - 1), and 4 when 4 | g, for every
+    two primes p < q of m.  gcd(gcd(n, p - 1), gcd(n, q - 1)) = gcd(n, g), and
+    that is > 2 exactly when an odd prime of g, or 4 | g, divides n."""
+    out = set()
+    for p, q in combinations(factorint(m), 2):
+        g = math.gcd(p - 1, q - 1)
+        out.update(f for f in factorint(g) if f > 2)
+        if g % 4 == 0:
+            out.add(4)
+    return out
+
+
+def _pairing_orders(n_max: int) -> list[int]:
+    """The orders N <= n_max with a split (m, n) that can pair, descending:
+    N = m*n for odd m (15 is the least with two primes), n a multiple of a
+    pairing divisor of m (3 is the least), and gcd(m, n) = 1."""
+    orders = set()
+    for m in range(15, n_max // 3 + 1, 2):
+        for f in _pair_divisors(m):
+            orders.update(m * n for n in range(f, n_max // m + 1, f) if math.gcd(m, n) == 1)
+    return sorted(orders, reverse=True)
 
 
 def _buckets(m: int, n: int):
@@ -293,11 +320,12 @@ def run_search(cfg: SearchConfig) -> list[PairCertificate]:
     if cfg.output_path:  # a bad path fails before any order is searched
         os.makedirs(cfg.output_path, exist_ok=True)
     # Largest first: the heaviest orders are near n_max, and a pool that
-    # reached them last would leave its other workers idle.
-    orders = range(cfg.n_max, 1, -1)
+    # reached them last would leave its other workers idle.  Orders that can
+    # hold a pair are few (2280 of 29999 up to 30000): one per task.
+    orders = _pairing_orders(cfg.n_max)
     if cfg.jobs > 1:
         with multiprocessing.Pool(cfg.jobs) as pool:
-            chunks = pool.map(_search_worker, orders, chunksize=64)
+            chunks = pool.map(_search_worker, orders, chunksize=1)
         certs = [c for chunk in chunks for c in chunk]
     else:
         certs = [c for N in orders for c in _pairs_for_order(N)]

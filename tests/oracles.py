@@ -15,6 +15,9 @@ library against.  Nothing in src/ imports this module.
 - Helpers on eigenvalue exponent multisets.
 - The torsion scan: canonical groups from every r of the n-torsion of Z_m^x,
   each validated and tested for canonicity.
+- The pairing test by gcds of gcds: (m, n) can pair iff two primes p, q of
+  m have gcd(gcd(n, p - 1), gcd(n, q - 1)) > 2, and the orders with such a
+  split, from every split of every N.
 - The torsion construction: Theorem-4.2 pairs from every r1 of the
   d-torsion of Z_m^x, filtered by order and deduplicated by canonical r.
 - The Theorem-4.2 witness by scanning every generator of <r1> for a partner
@@ -22,6 +25,7 @@ library against.  Nothing in src/ imports this module.
 """
 
 import math
+from itertools import combinations
 
 from spaceform.errors import BadPrime, CertificationFailed, GroupMismatch, SingularPoint
 from spaceform.groups import canonical_r, is_canonical, is_isomorphic, r_generators, validate_type1
@@ -277,6 +281,21 @@ def torsion_scan_canonical(N):
             if is_canonical(g):
                 out.append(g)
     return sorted(out, key=lambda g: (g.m, g.n, g.d, g.r))
+
+
+# --- the pairing test by gcds of gcds -------------------------------------
+
+def can_pair_by_gcds(m, n):
+    """Do two component orders o_p | gcd(n, p - 1) of (m, n) share an odd
+    prime or a 4?"""
+    return any(math.gcd(a, b) > 2 for a, b in combinations([math.gcd(n, p - 1) for p in prime_factors(m)], 2))
+
+
+def pairing_orders_by_gcds(n_max):
+    """The set of N <= n_max with a split (m, n), m >= 3 odd, gcd(m, n) = 1,
+    that can pair."""
+    return {N for N in range(2, n_max + 1) for m in divisors(N)
+            if m >= 3 and m % 2 and math.gcd(m, N // m) == 1 and can_pair_by_gcds(m, N // m)}
 
 
 # --- Theorem-4.2 pairs by the torsion scan ----------------------------------

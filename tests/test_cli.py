@@ -114,6 +114,15 @@ def test_fingerprint_and_certify_pair_refuse_oversized_group():
     assert "842 determinant classes x 26949 points" in out["message"]
 
 
+def test_commands_refuse_an_m_that_trial_division_cannot_factor():
+    # m = 1000000007 * 998244353 and r = -1: the order of r needs carmichael(m),
+    # and trial division to sqrt(m) would not end.
+    m, r = "998244359987710471", "998244359987710470"
+    for args in (("validate", m, "4", r), ("orders", m, "4", r), ("isomorphic", m, "4", r, r)):
+        out = payload(run_cli(*args, expect_code=1, timeout=30))
+        assert out["error"] == "SizeLimitExceeded" and "factorint" in out["message"]
+
+
 def test_kmolien_budget():
     # 20 classes x K = 100000 x degree 16 Molien terms: refused at once, not
     # run until killed.  A small K still runs.

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from spaceform.errors import ParameterOutOfRange
+from spaceform.errors import ParameterOutOfRange, SizeLimitExceeded
 from spaceform.groups import GroupElement, validate_type1
 from spaceform.numtheory import (
     carmichael,
@@ -47,6 +47,21 @@ def test_is_prime_matches_a_sieve_and_rejects_pseudoprimes():
     assert 3_215_031_751 == 151 * 751 * 28351 and not is_prime(3_215_031_751)
     assert 4_759_123_141 == 48781 * 97561 and not is_prime(4_759_123_141)
     assert is_prime(4_759_123_129) and is_prime(4_759_123_151)
+
+
+def test_is_prime_between_the_12_and_13_base_bounds():
+    # The least strong pseudoprime to every prime base through 37; base 41
+    # refutes it.  Below 3.3e24 the 13 bases through 41 are deterministic.
+    assert 399_165_290_221 * 798_330_580_441 == 318_665_857_834_031_151_167_461
+    assert not is_prime(318_665_857_834_031_151_167_461)
+    assert is_prime(10**24 + 7)
+
+
+def test_factorint_refuses_what_trial_division_cannot_finish():
+    # Trial division of this prime would run for minutes: refused at once.
+    with pytest.raises(SizeLimitExceeded):
+        factorint(2**61 - 1)
+    assert factorint(2**48) == {2: 48}
 
 
 def test_factorint_roundtrip():

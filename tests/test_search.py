@@ -24,6 +24,7 @@ from spaceform.search import (
     _buckets,
     _can_pair,
     _certify,
+    _pairing_orders,
     _pairs_for_order,
     _splits,
     audible_invariants,
@@ -39,7 +40,7 @@ from spaceform.search import (
 from spaceform.spectra import Spectrum, SumRep, _evaluation_grid, _screen_grid, _screen_value, det_classes, \
     evaluate_f_values, choose_prime, root_of_unity, select_points
 
-from oracles import full_vector_certify_pair, scan_theorem42_witness, torsion_construct_theorem42_pairs, \
+from oracles import can_pair_by_gcds, full_vector_certify_pair, pairing_orders_by_gcds, scan_theorem42_witness, torsion_construct_theorem42_pairs, \
     torsion_scan_canonical
 from table1 import TABLE1_ROWS, canonical_row_set
 
@@ -147,6 +148,28 @@ def test_can_pair_holds_wherever_a_bucket_holds_two_groups():
     assert not any(_can_pair(m, n) for m, n in splits if len(factorint(m)) == 1)
     # Orders 2 and 4 share only a 2; 4 and 4, or 3 and 3, can pair.
     assert not _can_pair(3 * 5, 4) and _can_pair(5 * 13, 4) and _can_pair(7 * 13, 3)
+
+
+def test_can_pair_matches_gcd_of_gcds_oracle():
+    splits = [(m, n) for N in range(2, 6001) for m, n in _splits(N)]
+    assert all(_can_pair(m, n) == can_pair_by_gcds(m, n) for m, n in splits)
+
+
+@pytest.mark.parametrize("n_max", [6000, 30000])
+def test_pairing_orders_are_the_orders_with_a_pairing_split(n_max):
+    orders = _pairing_orders(n_max)
+    assert all(a > b for a, b in zip(orders, orders[1:]))
+    assert set(orders) == pairing_orders_by_gcds(n_max)
+
+
+def test_run_search_dispatches_exactly_the_pairing_orders(monkeypatch):
+    from spaceform import search
+
+    seen, pairs_for_order = [], search._pairs_for_order
+    monkeypatch.setattr(search, "_pairs_for_order", lambda N: seen.append(N) or pairs_for_order(N))
+    certs = run_search(SearchConfig(n_max=3600))
+    assert seen == _pairing_orders(3600) and len(seen) == 141
+    assert [c.N for c in certs] == [1360, 2720, 3280, 3536]
 
 
 def test_pairs_for_order_walks_every_multi_member_bucket(monkeypatch):
