@@ -1,7 +1,8 @@
 """Elementary number theory used across the package.
 
 Everything here is exact integer arithmetic.  Factoring is trial division
-(desk scale: factorint refuses n above 2^48, where trial division of a prime
+(desk scale: factorint divides out every prime below 2^16 and refuses to go
+on while the cofactor left is above 2^48, where trial division of a prime
 takes about a second); multiplicative orders are computed by factoring the
 Carmichael function and descending through prime factors.
 """
@@ -13,8 +14,11 @@ from functools import lru_cache
 
 from .errors import ParameterOutOfRange, SizeLimitExceeded
 
-# factorint refuses n above this: trial division of the prime 2^48 - 59 takes
-# 0.94 s (Python 3.11 on a 2-vCPU VM), and the time grows as sqrt(n).
+# factorint trial-divides past _SMALL_DIVISOR_BOUND only a cofactor up to
+# _TRIAL_DIVISION_LIMIT: trial division of the prime 2^48 - 59 takes 0.94 s
+# (Python 3.11 on a 2-vCPU VM), and the time grows as sqrt(n).  Dividing out
+# the primes below 2^16 takes about 2 ms.
+_SMALL_DIVISOR_BOUND = 1 << 16
 _TRIAL_DIVISION_LIMIT = 1 << 48
 
 # Deterministic Miller-Rabin with the bases 2, 7, 61 below 4,759,123,141, the
@@ -63,11 +67,11 @@ def is_prime(n: int) -> bool:
 
 @lru_cache(maxsize=None)
 def factorint(n: int) -> dict[int, int]:
-    """Prime factorization {p: e} by trial division, for 1 <= n <= 2^48."""
+    """Prime factorization {p: e} by trial division, for n >= 1 whose
+    cofactor after the primes below 2^16 is at most 2^48."""
     if n < 1:
         raise ParameterOutOfRange(f"factorint expects n >= 1, got {n}")
-    if n > _TRIAL_DIVISION_LIMIT:
-        raise SizeLimitExceeded(f"factorint({n}): trial division is refused above {_TRIAL_DIVISION_LIMIT}")
+    original = n
     out: dict[int, int] = {}
     for p in (2, 3):
         while n % p == 0:
@@ -75,6 +79,9 @@ def factorint(n: int) -> dict[int, int]:
             n //= p
     f = 5
     while f * f <= n:
+        if n > _TRIAL_DIVISION_LIMIT and f > _SMALL_DIVISOR_BOUND:
+            raise SizeLimitExceeded(f"factorint({original}): trial division is refused for the cofactor {n} "
+                                    f"above {_TRIAL_DIVISION_LIMIT} left by the primes below {_SMALL_DIVISOR_BOUND}")
         for p in (f, f + 2):
             while n % p == 0:
                 out[p] = out.get(p, 0) + 1

@@ -443,35 +443,32 @@ def _class_field_data(classes, p: int, powers):
     return data
 
 
-def _packed_dets(class_data, D: int, p: int, points):
-    """Per point, every class determinant, from a packed forward-difference table.
+def _packed_dets(class_data, D: int, p: int, lo: int, count: int):
+    """Every class determinant at each of the count points lo, lo + 1, ...
+    (lo >= 0), from a packed forward-difference table.
 
     Coefficient j of z of every class is packed into one integer, one lane of
-    w bytes per class (Kronecker substitution).  With the points reduced mod
-    p, a determinant of degree D is below (D+1) * p * z_max^D, so it fits its
-    lane unreduced and each lane is reduced mod p once.  diffs[k] holds the
-    packed Delta^k det(at), k = 0..D, seeded by Horner at at, ..., at + D; D
-    additions step it to at + 1.  As exact integers its entries may spill over
-    their lanes.  A point behind at, or more than D past it, reseeds the table.
+    w bytes per class (Kronecker substitution).  A determinant of degree D is
+    below (D+1) * p * z^D at z <= lo + count - 1, so it fits its lane
+    unreduced and each lane is reduced mod p once.  diffs[k] holds the packed
+    Delta^k det(z), seeded by Horner at the first min(count, D + 1) points;
+    one addition per entry steps it to z + 1.  As exact integers its entries
+    may spill over their lanes.
     """
-    points = [z % p for z in points]
-    w = ((D + 1).bit_length() + p.bit_length() + D * max(points).bit_length() + 7) // 8
+    w = ((D + 1).bit_length() + p.bit_length() + D * (lo + count - 1).bit_length() + 7) // 8
     size = w * len(class_data)
     lanes = [slice(i, i + w) for i in range(0, size, w)]
     from_bytes = int.from_bytes
     packed = [from_bytes(b"".join(coeffs[j].to_bytes(w, "little") for _, coeffs in class_data), "little")
               for j in range(D + 1)]
-    at = -D - 1
-    for z in points:
-        if not at <= z <= at + D:
-            at, diffs = z, [reduce(lambda h, c: h * x + c, packed[::-1]) for x in range(z, z + D + 1)]
-            for k in range(1, D + 1):
-                diffs[k:] = map(sub, diffs[k:], diffs[k - 1:D])
-        for _ in range(z - at):
-            diffs = [*map(add, diffs, diffs[1:]), diffs[D]]
-        at = z
+    seeds = min(count, D + 1)
+    diffs = [reduce(lambda h, c: h * x + c, packed[::-1]) for x in range(lo, lo + seeds)]
+    for k in range(1, seeds):
+        diffs[k:] = map(sub, diffs[k:], diffs[k - 1:seeds - 1])
+    for _ in range(count):
         row = diffs[0].to_bytes(size, "little")
         yield [from_bytes(row[lane], "little") % p for lane in lanes]
+        diffs = [*map(add, diffs, diffs[1:]), diffs[-1]]
 
 
 def _class_fraction(terms, p: int) -> tuple[int, int]:
@@ -521,12 +518,13 @@ def _block_count(class_count: int) -> int:
 
 
 def _shifted_fractions(blocks, D: int, p: int, lo: int, span: int) -> tuple[list[int], list[int]]:
-    """The class fraction (_class_fraction) at lo + t for every t < span < p,
-    as lists of nums and dens, each point's pair up to a nonzero factor.
+    """The class fraction (_class_fraction) at lo + t for every t < span, as
+    lists of nums and dens, each point's pair up to a nonzero factor.  Needs
+    lo >= 0 and |B|*D + 1 < span < p for every block of classes B.
 
-    Per block of classes B, Num_B and Den_B are polynomials of degree at
-    most n = |B|*D.  Both are evaluated at the nodes lo, ..., lo + n only and
-    shifted to every t > n by Lagrange's formula over the nodes,
+    Per block B, Num_B and Den_B are polynomials of degree at most n = |B|*D.
+    Both are evaluated at the nodes lo, ..., lo + n only and shifted to every
+    t > n by Lagrange's formula over the nodes,
         P(lo + t) = prod_{i<=n} (t - i) * sum_j g_j / (t - j),
         g_j = P(lo + j) * (-1)^(n-j) / (j! (n-j)!),
     whose sums over j for all t are one Kronecker-packed product of g with
@@ -534,7 +532,7 @@ def _shifted_fractions(blocks, D: int, p: int, lo: int, span: int) -> tuple[list
     Den_B and nonzero (t < p), so it is dropped.  Each block's fraction is
     added into the running one at every point as soon as it is shifted.
     """
-    n_max = min(max(map(len, blocks)) * D, span - 1)
+    n_max = max(map(len, blocks)) * D
     inv = [0, 1]  # 1/s mod p, from p = (p // s) * s + p % s
     for s in range(2, span):
         inv.append((p - p // s) * inv[p % s] % p)
@@ -557,11 +555,9 @@ def _shifted_fractions(blocks, D: int, p: int, lo: int, span: int) -> tuple[list
 def _block_fractions(block, D: int, p: int, lo: int, span: int, inv_fact, packed_inv: int, w: int):
     """[Num_B], [Den_B] at lo + t for every t < span, for one block of
     _shifted_fractions: the packed pass at the n + 1 nodes, then the shift."""
-    n = min(len(block) * D, span - 1)
+    n = len(block) * D
     counts = [count for count, _ in block]
-    nodes = zip(*[_class_fraction(zip(counts, row), p) for row in _packed_dets(block, D, p, range(lo, lo + n + 1))])
-    if n + 1 == span:
-        return [list(values) for values in nodes]
+    nodes = zip(*[_class_fraction(zip(counts, row), p) for row in _packed_dets(block, D, p, lo, n + 1)])
     weights = [inv_fact[j] * inv_fact[n - j] % p for j in range(n + 1)]
     weights[1 - n % 2::2] = [p - c for c in weights[1 - n % 2::2]]  # (-1)^(n-j): odd n - j
     out = []
@@ -574,14 +570,15 @@ def _block_fractions(block, D: int, p: int, lo: int, span: int, inv_fact, packed
 
 def evaluate_f_values(classes, group_order: int, p: int, root: int, points) -> tuple[int, ...]:
     """Exact values of F_G at the given points (classes from det_classes, so
-    every exponent M is below L = group_order): each class determinant is
-    expanded once, and one packed table of forward differences steps them all
-    from point to point.  When the points fill at least half of an integer
-    range shorter than p, as every select_points grid does, and outnumber
-    the nodes of the largest block of classes (_block_count), each block is
-    evaluated at its degree + 1 nodes only and shifted to the rest of the
-    range (_shifted_fractions).  Refused before any work above
-    EVALUATION_LIMIT terms.
+    every exponent M is below L = group_order).  Each class determinant is
+    expanded once and evaluated by a packed table (_packed_dets) that walks
+    one range of consecutive integers.  When distinct points fill at least
+    half of an integer range shorter than p, as every select_points grid
+    does, and outnumber the nodes of the largest block of classes
+    (_block_count), the table walks each block's degree + 1 nodes only and
+    the values are shifted to the rest of the range (_shifted_fractions).
+    Any other point list is a range of one per point.  Refused before any
+    work above EVALUATION_LIMIT terms.
     """
     _check_f_value_budget(len(classes), len(points))
     if not points:
@@ -593,12 +590,13 @@ def evaluate_f_values(classes, group_order: int, p: int, root: int, points) -> t
     blocks = [data[i * k // nb:(i + 1) * k // nb] for i in range(nb)]
     lo = min(points)
     span = max(points) - lo + 1
-    if max(map(len, blocks)) * D + 1 < len(points) and span <= 2 * len(points) and span < p:
-        nums, dens = _shifted_fractions(blocks, D, p, lo, span)
+    if max(map(len, blocks)) * D + 1 < len(points) <= span <= 2 * len(points) and span < p:
+        nums, dens = _shifted_fractions(blocks, D, p, lo % p, span)
         fractions = [(nums[z - lo], dens[z - lo]) for z in points]
     else:
         counts = [count for count, _ in data]
-        fractions = (_class_fraction(zip(counts, row), p) for row in _packed_dets(data, D, p, points))
+        fractions = [_class_fraction(zip(counts, row), p)
+                     for z in points for row in _packed_dets(data, D, p, z % p, 1)]
     return _f_from_fractions(fractions, group_order, p, points)
 
 

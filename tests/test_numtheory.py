@@ -59,9 +59,13 @@ def test_is_prime_between_the_12_and_13_base_bounds():
 
 def test_factorint_refuses_what_trial_division_cannot_finish():
     # Trial division of this prime would run for minutes: refused at once.
+    # Above 2^48 a number whose primes below 2^16 leave a small cofactor is
+    # still factored.
     with pytest.raises(SizeLimitExceeded):
         factorint(2**61 - 1)
     assert factorint(2**48) == {2: 48}
+    assert factorint(3**31) == {3: 31}
+    assert factorint(2 * 3**30) == {2: 1, 3: 30}
 
 
 def test_factorint_roundtrip():

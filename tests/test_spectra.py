@@ -396,9 +396,9 @@ def test_f_values_match_reference_on_skipped_and_scattered_points():
     # With L = 20 and p = 41 select_points skips the 20 squares mod 41, so the
     # forward-difference table steps over them.  Points more than D past the
     # last one, points going backwards, repeats and points at or above p
-    # reseed it.  Two-summand sums reach D = 8 (order 20) and D = 32 (1360);
-    # on the first three points of 1360 the table's entries spill over lanes
-    # sized for z = 4, and the emitted determinants still fit.
+    # are each a range of one.  Two-summand sums reach D = 8 (order 20) and
+    # D = 32 (1360); each of the first three points of 1360 is a range of one,
+    # with lanes sized for that point.
     p = 41
     root = root_of_unity(p, 20)
     grid = select_points(p, 20, 16)
@@ -495,13 +495,40 @@ def test_shifted_f_values_raise_only_at_requested_poles(monkeypatch):
 
 def test_sparse_points_take_the_direct_path(monkeypatch):
     # (2, 10**6) spans far more than twice its length: no block is shifted.
+    # Nor is a repeated point, whose span of one cannot hold a block's nodes.
     monkeypatch.setattr(spectra, "_shifted_fractions", _refuse)
     monkeypatch.setattr(spectra, "_block_count", lambda k: k)
     classes = det_classes(SumRep.rho11(G85))
     p = choose_prime(1360)
     root = root_of_unity(p, 1360)
-    for points in ((2, 10**6), (10**6, 2, 3)):
+    for points in ((2, 10**6), (10**6, 2, 3), (7,) * 40):
         assert evaluate_f_values(classes, 1360, p, root, points) == reference_f_values(classes, 1360, p, root, points)
+
+
+def test_search_and_fingerprint_grids_take_the_shifted_path(monkeypatch):
+    # A full grid that fell to one range per point would pay a Horner pass
+    # and a repack per point: the search at N = 1360 and a two-summand
+    # fingerprint walk only the blocks' node ranges.
+    from spaceform.search import _pairs_for_order
+
+    counts, shifted = [], []
+    packed_dets, shifted_fractions = spectra._packed_dets, spectra._shifted_fractions
+
+    def spy_dets(class_data, D, p, lo, count):
+        counts.append(count)
+        return packed_dets(class_data, D, p, lo, count)
+
+    def spy_shift(*args):
+        shifted.append(args[-1])
+        return shifted_fractions(*args)
+
+    monkeypatch.setattr(spectra, "_packed_dets", spy_dets)
+    monkeypatch.setattr(spectra, "_shifted_fractions", spy_shift)
+    for run in (lambda: _pairs_for_order(1360), lambda: fingerprint(SumRep.from_pairs(G85, ((1, 1), (3, 5))))):
+        counts.clear()
+        shifted.clear()
+        run()
+        assert shifted and counts and min(counts) > 1, (counts, shifted)
 
 
 def test_singular_point_raises():
