@@ -13,7 +13,6 @@ from .errors import (
     NotFixedPointFree,
     OrderViolation,
     ParameterOutOfRange,
-    PrimeTooSmall,
     SingularPoint,
     SizeLimitExceeded,
     SpaceformError,

@@ -4,8 +4,10 @@ Subcommands: validate, orders, isomorphic, fingerprint, certify-pair,
 search, construct, crosscheck.  Payloads are JSON (indented by default,
 canonical one-line bytes with --json); diagnostics go to stderr; exit code 0
 iff status is ok.  Library errors and OSErrors (an --out path that cannot be
-a directory) become an error record with exit code 1; size refusals come
-from the library's one limit, spectra.EVALUATION_LIMIT.  SPACEFORM_PRIME_SEED
+a directory) become an error record with exit code 1.  Size refusals come
+from three limits: spectra.EVALUATION_LIMIT (group walks, F-value vectors,
+Molien series), factorint's trial-division bound, and
+groups.BRUTE_FORCE_LIMIT (orders --brute).  SPACEFORM_PRIME_SEED
 shifts the deterministic scan for the certificate prime (above 10^18) and
 thereby breaks byte-reproducibility between differently-seeded runs.  It
 leaves the one-point screen's own prime below 2^30 alone: equal F_G agree

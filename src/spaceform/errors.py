@@ -44,8 +44,8 @@ class ParameterOutOfRange(SpaceformError):
 
 
 class SizeLimitExceeded(SpaceformError):
-    """Input refused: its brute-force, evaluation or factoring size is above a
-    fixed limit."""
+    """Input refused: its brute-force, group walk, evaluation or factoring
+    size is above a fixed limit."""
 
 
 class InvalidAutomorphism(SpaceformError):
@@ -68,10 +68,6 @@ class DegreeMismatch(SpaceformError):
 
 class SingularPoint(SpaceformError):
     """An evaluation point hits a pole of some det(I - gz)^-1 factor."""
-
-
-class PrimeTooSmall(SpaceformError):
-    """p does not exceed the integer bound needed to lift field values."""
 
 
 class CertificationFailed(SpaceformError):

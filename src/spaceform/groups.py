@@ -178,10 +178,10 @@ def order_set_formula(g: TypeIParams) -> tuple[int, ...]:
     return tuple(sorted(orders))
 
 
-def order_set_bruteforce(g: TypeIParams, limit: int = BRUTE_FORCE_LIMIT) -> tuple[int, ...]:
+def order_set_bruteforce(g: TypeIParams) -> tuple[int, ...]:
     """{order(x) : x in G} by enumerating all m*n normal forms."""
-    if g.order > limit:
-        raise SizeLimitExceeded(f"|G| = {g.order} exceeds limit {limit}")
+    if g.order > BRUTE_FORCE_LIMIT:
+        raise SizeLimitExceeded(f"|G| = {g.order} exceeds limit {BRUTE_FORCE_LIMIT}")
     return tuple(sorted({element_order(x) for x in g.elements()}))
 
 

@@ -38,7 +38,6 @@ from .errors import (
     GroupMismatch,
     InvalidRepresentation,
     ParameterOutOfRange,
-    PrimeTooSmall,
     SingularPoint,
     SizeLimitExceeded,
 )
@@ -52,12 +51,12 @@ DEFAULT_MOLIEN_TRUNCATION = 200
 # it stays below 2^30, so it and every factor it reduces fit in one CPython digit.
 _SCREEN_PRIME_FLOOR = 2**29
 
-# Most terms of a full F-value vector, #classes * #points, or of a Molien
-# series to K, #classes * K * degree.  The F-value count measures the size of
-# the vector, not the work: a shifted vector (_shifted_fractions) evaluates
-# about #classes^2 * D / blocks class determinants and makes 2 * blocks
-# packed products.  The largest Table-1 spectrum (N = 29648) has 2,997,882
-# F-value terms; the work still grows with the square of #classes.
+# Most elements of a group walk (any walk visits at most |G| = m*n), terms of
+# a full F-value vector (#classes * #points) or of a Molien series to K
+# (#classes * K * degree).  The F-value count is the vector's size, not its
+# work: a shifted vector (_shifted_fractions) evaluates about #classes^2 * D /
+# blocks class determinants and makes 2 * blocks packed products.  The largest
+# Table-1 spectrum (N = 29648) has 2,997,882 F-value terms.
 EVALUATION_LIMIT = 10_000_000
 
 # (e, M) pairs: one (1 - eta^M z^e) factor of det(I - rho(g) z).
@@ -126,6 +125,16 @@ class EigenExponentMultiset:
 
     modulus: int
     exponents: tuple[int, ...]
+
+
+def _check_limit(what: str, terms: int, unit: str) -> None:
+    """Refuse, before any work, a walk, vector or series above EVALUATION_LIMIT."""
+    if terms > EVALUATION_LIMIT:
+        raise SizeLimitExceeded(f"{what} = {terms} {unit} exceeds limit {EVALUATION_LIMIT}")
+
+
+def _check_walk(g: TypeIParams) -> None:
+    _check_limit(f"|G| = {g.m} x {g.n}", g.order, "group elements")
 
 
 def _alpha(g: TypeIParams, c: int) -> int:
@@ -245,6 +254,7 @@ def almost_conjugate(rep1: SumRep, rep2: SumRep, bijection=None) -> bool:
         raise GroupMismatch(f"|G1| = {g1.order} != |G2| = {g2.order}")
     if rep1.degree != rep2.degree:
         raise DegreeMismatch(f"degrees {rep1.degree} != {rep2.degree}")
+    _check_walk(g1)
     L = g1.order
     if bijection is None:
         natural_bijection(g1, g2)  # GroupMismatch unless (m, n) agree
@@ -307,6 +317,7 @@ def det_classes(rep: SumRep) -> tuple[tuple[DetFactors, int], ...]:
     """Group elements bucketed by their det(I - gz) factorization, with
     counts: one factor row per orbit of _orbit_rows."""
     m, L = rep.group.m, rep.group.order
+    _check_walk(rep.group)
     counts: dict[tuple[int, tuple[int, ...]], int] = {}
     for e, terms, orbits in _orbit_rows(rep):
         for u, weight in orbits:
@@ -395,9 +406,9 @@ def select_points(p: int, L: int, count: int) -> tuple[int, ...]:
 
 
 def _evaluation_grid(L: int, count: int, p: int | None = None):
-    """The (p, root, points) of every F-evaluation at order L: the default
-    prime for L unless p is given, its deterministic L-th root, and the first
-    count points."""
+    """The (p, root, points) of every F-evaluation at order L: the
+    certificate prime for L (the screen passes its own), its deterministic
+    L-th root, and the first count points."""
     if p is None:
         p = choose_prime(L)
     root = root_of_unity(p, L)
@@ -504,10 +515,8 @@ def _f_from_fractions(fractions, group_order: int, p: int, points) -> tuple[int,
 
 
 def _check_f_value_budget(class_count: int, point_count: int) -> None:
-    terms = class_count * point_count
-    if terms > EVALUATION_LIMIT:
-        raise SizeLimitExceeded(f"{class_count} determinant classes x {point_count} points = "
-                                f"{terms} F-value terms exceeds limit {EVALUATION_LIMIT}")
+    _check_limit(f"{class_count} determinant classes x {point_count} points",
+                 class_count * point_count, "F-value terms")
 
 
 def _block_count(class_count: int) -> int:
@@ -610,6 +619,7 @@ def _screen_value(rep: SumRep, p: int, root: int, z: int) -> int:
     (weight, det) goes into the one sum over classes.
     """
     g = rep.group
+    _check_walk(g)
     m, L, nd = g.m, g.order, g.n // g.d
     w_unit = L // nd
     zetas = _root_powers(p, pow(root, L // m, p), m)
@@ -665,12 +675,12 @@ class SpectrumFingerprint:
                 "values_preview": values[:4]}
 
 
-def fingerprint(rep: SumRep, p: int | None = None) -> SpectrumFingerprint:
+def fingerprint(rep: SumRep) -> SpectrumFingerprint:
     """Evaluate F_G at deterministic points; see select_points for the rule."""
-    return shared_fingerprints([rep], p)[0]
+    return shared_fingerprints([rep])[0]
 
 
-def shared_fingerprints(reps: list[SumRep], p: int | None = None) -> list[SpectrumFingerprint]:
+def shared_fingerprints(reps: list[SumRep]) -> list[SpectrumFingerprint]:
     """Fingerprints of several same-order groups on one shared (p, root, points).
 
     The shared degree bound is the max of the per-group bounds, so equality of
@@ -683,7 +693,7 @@ def shared_fingerprints(reps: list[SumRep], p: int | None = None) -> list[Spectr
     db = max(s.degree_bound for s in spectra)
     count = max(s.point_count for s in spectra)
     _check_f_value_budget(max(len(s.classes) for s in spectra), count)  # before select_points
-    p, root, points = _evaluation_grid(reps[0].group.order, count, p)
+    p, root, points = _evaluation_grid(reps[0].group.order, count)
     out = []
     for s in spectra:
         g = s.rep.group
@@ -700,32 +710,22 @@ class MolienSeries:
     coefficients: tuple[int, ...]
 
 
-def molien_coefficients(rep: SumRep, truncation: int = DEFAULT_MOLIEN_TRUNCATION,
-                        p: int | None = None) -> MolienSeries:
+def molien_coefficients(rep: SumRep, truncation: int = DEFAULT_MOLIEN_TRUNCATION) -> MolienSeries:
     """Power-series coefficients of F_G, lifted from F_p to integers.
 
-    Each class determinant is inverted as a truncated power series; the prime
-    must exceed dim H_{q,K} so the lift is unique.  Refused above
+    Each class determinant is inverted as a truncated power series; the
+    prime is chosen above dim H_{q,K}, so the lift is unique.  Refused above
     EVALUATION_LIMIT terms before the bound, the prime or any series work.
     """
     if truncation < 0:
         raise ParameterOutOfRange(f"truncation must be >= 0, got {truncation}")
     classes = Spectrum.of(rep).classes
-    terms = len(classes) * truncation * rep.degree
-    if terms > EVALUATION_LIMIT:
-        raise SizeLimitExceeded(f"{len(classes)} determinant classes x K = {truncation} x degree {rep.degree} = "
-                                f"{terms} Molien terms exceeds limit {EVALUATION_LIMIT}")
-    g = rep.group
-    L = g.m * g.n
-    q = rep.degree - 1
-    coeff_bound = max(harmonic_dim(q, k) for k in range(truncation + 1))
-    if p is None:
-        p = choose_prime(L, max(DEFAULT_PRIME_FLOOR, coeff_bound))
-    root = root_of_unity(p, L)
-    if p <= coeff_bound:
-        raise PrimeTooSmall(f"p = {p} <= dim H_({q},{truncation}) = {coeff_bound}")
-    coeffs = _molien_from_classes(classes, g.order, truncation, p, root)
-    return MolienSeries(truncation, tuple(coeffs))
+    _check_limit(f"{len(classes)} determinant classes x K = {truncation} x degree {rep.degree}",
+                 len(classes) * truncation * rep.degree, "Molien terms")
+    L = rep.group.order
+    coeff_bound = max(harmonic_dim(rep.degree - 1, k) for k in range(truncation + 1))
+    p = choose_prime(L, max(DEFAULT_PRIME_FLOOR, coeff_bound))
+    return MolienSeries(truncation, tuple(_molien_from_classes(classes, L, truncation, p, root_of_unity(p, L))))
 
 
 def _molien_from_classes(classes, group_order: int, K: int, p: int, root: int) -> list[int]:

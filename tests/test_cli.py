@@ -2,8 +2,10 @@ import ast
 import hashlib
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -114,6 +116,23 @@ def test_fingerprint_and_certify_pair_refuse_oversized_group():
     assert "842 determinant classes x 26949 points" in out["message"]
 
 
+def _refuse(*args):
+    raise AssertionError("walked a group past the evaluation limit")
+
+
+@pytest.mark.parametrize("argv, size", [
+    (["fingerprint", "1000000007", "16", "1000000006"], "|G| = 1000000007 x 16 = 16000000112"),
+    (["certify-pair", "13000000117", "8", "3569522325", "7430477774"], "|G| = 13000000117 x 8 = 104000000936"),
+], ids=["fingerprint", "certify-pair"])
+def test_unwalkable_group_is_an_error_record(argv, size, monkeypatch, capsys):
+    # Refused before any walk, table of powers or allocation of |G| entries.
+    for name in ("_alpha", "_root_powers"):
+        monkeypatch.setattr(spectra, name, _refuse)
+    assert spaceform.cli.main([*argv, "--json"]) == 1
+    message = f"{size} group elements exceeds limit {spectra.EVALUATION_LIMIT}"
+    assert json.loads(capsys.readouterr().out)["payload"] == {"error": "SizeLimitExceeded", "message": message}
+
+
 def test_commands_refuse_an_m_that_trial_division_cannot_factor():
     # m = 1000000007 * 998244353 and r = -1: the order of r needs carmichael(m),
     # and trial division to sqrt(m) would not end.
@@ -160,6 +179,29 @@ def test_search_artifacts_match_recorded_hashes(tmp_path, monkeypatch, jobs):
     run_cli("search", "--nmax", "3600", "--jobs", jobs, "--out", str(out_dir))
     got = {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest() for name in os.listdir(out_dir)}
     assert got == SEARCH_3600_SHA256
+
+
+def test_ctrl_c_ends_a_parallel_search(tmp_path):
+    # SIGINT to the whole process group, as a terminal's Ctrl-C sends it: the
+    # search exits non-zero, writes no table and leaves no pool worker behind.
+    out = tmp_path / "out"
+    proc = subprocess.Popen([sys.executable, "-m", "spaceform", "search", "--nmax", "30000", "--jobs", "2",
+                             "--out", str(out)], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            text=True, start_new_session=True)
+    try:
+        time.sleep(2)
+        os.killpg(proc.pid, signal.SIGINT)
+        _, stderr = proc.communicate(timeout=20)
+        assert proc.returncode != 0, stderr
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)
+        assert not any(out.iterdir())
+    finally:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        proc.wait()
 
 
 def test_construct(tmp_path):

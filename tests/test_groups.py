@@ -186,7 +186,7 @@ def test_order_set_not_fpf():
 
 def test_order_set_size_limit():
     with pytest.raises(SizeLimitExceeded):
-        order_set_bruteforce(validate_type1(85, 16, 2), limit=100)
+        order_set_bruteforce(validate_type1(1853, 128, 76))  # |G| = 237184
 
 
 def test_order_set_closed_under_divisors(fpf_pool_2000):

@@ -15,6 +15,7 @@ from spaceform.errors import (
     SizeLimitExceeded,
     SpaceformError,
 )
+from spaceform import spectra
 from spaceform.groups import is_fixed_point_free, is_isomorphic, validate_type1
 from spaceform.numtheory import divisors, factorint, next_prime_in_progression, prime_factors
 from spaceform.search import (
@@ -490,6 +491,20 @@ def test_certify_pair_refutations():
     with pytest.raises(CertificationFailed) as exc:
         certify_pair(g2, validate_type1(85, 16, 84))
     assert exc.value.check == "parameters"
+
+
+def _refuse(*args):
+    raise AssertionError("walked a group past the evaluation limit")
+
+
+def test_certify_pair_refuses_an_unwalkable_pair(monkeypatch):
+    # Two non-isomorphic d = 4 groups of order 1.04 * 10^11: refused before
+    # the screen builds its m-entry table of powers or walks an orbit.
+    for name in ("_alpha", "_root_powers"):
+        monkeypatch.setattr(spectra, name, _refuse)
+    g1, g2 = (validate_type1(13000000117, 8, r) for r in (3569522325, 7430477774))
+    with pytest.raises(SizeLimitExceeded, match=r"\|G\| = 13000000117 x 8 = 104000000936 group elements"):
+        certify_pair(g1, g2)
 
 
 def test_certify_pair_is_symmetric():

@@ -9,7 +9,6 @@ from spaceform.errors import (
     GroupMismatch,
     InvalidRepresentation,
     ParameterOutOfRange,
-    PrimeTooSmall,
     SingularPoint,
     SizeLimitExceeded,
 )
@@ -643,7 +642,21 @@ def test_choose_prime_follows_seed_set_after_first_call(monkeypatch):
 
 def test_fingerprint_bad_prime():
     with pytest.raises(BadPrime):
-        fingerprint(SumRep.rho11(G54), p=10**18 + 9)
+        root_of_unity(10**18 + 9, 54)
+
+
+# d = 2 and r = -1: every even b walks all of Z/m, |G| = 16000000112.
+G_UNWALKABLE = validate_type1(1000000007, 16, 1000000006)
+
+
+def test_unwalkable_group_is_refused_before_any_walk(monkeypatch):
+    for name in ("_alpha", "_root_powers"):
+        monkeypatch.setattr(spectra, name, _refuse)
+    rep = SumRep.rho11(G_UNWALKABLE)
+    for call in (lambda: Spectrum.of(rep), lambda: fingerprint(rep), lambda: molien_coefficients(rep, 10),
+                 lambda: almost_conjugate(rep, rep), lambda: almost_conjugate(rep, rep, lambda x: x)):
+        with pytest.raises(SizeLimitExceeded, match=r"\|G\| = 1000000007 x 16 = 16000000112 group elements"):
+            call()
 
 
 # --- Molien coefficients -------------------------------------------------
@@ -672,14 +685,6 @@ def test_molien_pair_agreement_and_comparator():
     m9 = molien_coefficients(SumRep.rho11(validate_type1(85, 16, 9)), truncation=60)
     assert m1.coefficients == m2.coefficients
     assert m1.coefficients != m9.coefficients
-
-
-def test_molien_prime_errors():
-    with pytest.raises(BadPrime):
-        molien_coefficients(SumRep.rho11(G54), truncation=10, p=10**18 + 9)
-    # q = 3, dim H_{3,50} = 2601 > 101
-    with pytest.raises(PrimeTooSmall):
-        molien_coefficients(SumRep.rho11(G54), truncation=50, p=101)
 
 
 def test_molien_negative_truncation_is_refused():
