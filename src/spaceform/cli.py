@@ -4,7 +4,9 @@ Subcommands: validate, orders, isomorphic, fingerprint, certify-pair,
 search, construct, crosscheck.  Payloads are JSON (indented by default,
 canonical one-line bytes with --json); diagnostics go to stderr; exit code 0
 iff status is ok.  Library errors and OSErrors (an --out path that cannot be
-a directory) become an error record with exit code 1.  Size refusals come
+a directory) become an error record with exit code 1, and so does an
+interrupt (Ctrl-C): a search's pool workers ignore SIGINT and are terminated
+by the parent, which writes no table.  Size refusals come
 from three limits: spectra.EVALUATION_LIMIT (group walks, F-value vectors,
 Molien series), factorint's trial-division bound, and
 groups.BRUTE_FORCE_LIMIT (orders --brute).  SPACEFORM_PRIME_SEED
@@ -218,6 +220,9 @@ def main(argv=None) -> int:
     except (SpaceformError, OSError) as exc:
         result = CommandResult("error", {"error": type(exc).__name__, "message": str(exc)},
                                diags + [str(exc)])
+    except KeyboardInterrupt:
+        result = CommandResult("error", {"error": "KeyboardInterrupt", "message": "interrupted"},
+                               diags + ["interrupted"])
     if args.json:
         sys.stdout.write(json.dumps(result.to_dict(), sort_keys=True, separators=(",", ":")) + "\n")
     else:

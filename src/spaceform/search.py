@@ -4,10 +4,9 @@ with non-isomorphic Type I fundamental groups, and pair certification.
 Pipeline per order N:
   1. walk the buckets of the audible invariants (m, n, d, gcd(r^c-1, m) for
      c | d) of the non-cyclic fixed-point-free Type I groups of order N,
-     straight from the torsion of Z_m^x, for the (m, n) that can put two groups
-     in one: a pairing divisor of m divides n (_can_pair).  Groups in different
-     buckets are not isospectral, and only the orders with such a split are
-     searched (_pairing_orders);
+     straight from the torsion of Z_m^x (_audible_buckets).  Groups in
+     different buckets are not isospectral, and only orders with a split that
+     can put two in one bucket are searched (_pairing_orders);
   2. build the groups (canonical r) only of buckets that hold two or more;
   3. screen multi-member buckets at one point, straight from each group's
      orbit walk, modulo a prime q = 1 (mod N) below 2^30 (_screen_grid):
@@ -26,6 +25,7 @@ import json
 import math
 import multiprocessing
 import os
+import signal
 from dataclasses import dataclass, field
 from itertools import combinations, product
 
@@ -113,28 +113,17 @@ def enumerate_canonical(N: int) -> list[TypeIParams]:
 
 
 def _audible_buckets(N: int):
-    """((m, n, d, orders), size) for every audible bucket of order N (_buckets)."""
-    return (bucket for m, n in _splits(N) for bucket in _buckets(m, n))
-
-
-def _splits(N: int):
-    """(m, n) with m*n = N, m >= 3 odd and gcd(m, n) = 1: those of Type I groups."""
-    for m in divisors(N):
-        if m >= 3 and m % 2 and math.gcd(m, N // m) == 1:
-            yield m, N // m
-
-
-def _can_pair(m: int, n: int) -> bool:
-    """Can a bucket of (m, n) hold two groups?  Only if two component orders
-    o_p | gcd(n, p - 1) share an odd prime or a 4 (else prod phi(o_p) = phi(d)),
-    that is, if a pairing divisor of m divides n."""
-    return any(n % f == 0 for f in _pair_divisors(m))
+    """((m, n, d, orders), size) for every audible bucket of order N (_buckets),
+    over the splits m*n = N of Type I groups: m >= 3 odd and gcd(m, n) = 1."""
+    return (bucket for m in divisors(N) if m >= 3 and m % 2 and math.gcd(m, N // m) == 1
+            for bucket in _buckets(m, N // m))
 
 
 def _pair_divisors(m: int) -> set[int]:
-    """The odd primes of g = gcd(p - 1, q - 1), and 4 when 4 | g, for every
-    two primes p < q of m.  gcd(gcd(n, p - 1), gcd(n, q - 1)) = gcd(n, g), and
-    that is > 2 exactly when an odd prime of g, or 4 | g, divides n."""
+    """The odd primes of g = gcd(p - 1, q - 1), and 4 when 4 | g, for every two
+    primes p < q of m.  A bucket of (m, n) holds prod phi(o_p) / phi(d) groups,
+    above 1 only if some o_p | gcd(n, p - 1) and o_q | gcd(n, q - 1) share an
+    odd prime or a 4, so only if gcd(n, g) > 2: if one of these divides n."""
     out = set()
     for p, q in combinations(factorint(m), 2):
         g = math.gcd(p - 1, q - 1)
@@ -307,7 +296,7 @@ def _certify_bucket(reps: list[SumRep], N: int) -> list[PairCertificate]:
 
 
 def _pairs_for_order(N: int) -> list[PairCertificate]:
-    return [c for m, n in _splits(N) if _can_pair(m, n) for bucket, size in _buckets(m, n) if size > 1
+    return [c for bucket, size in _audible_buckets(N) if size > 1
             for c in _certify_bucket([SumRep.rho11(g) for g in _bucket_members(*bucket)], N)]
 
 
@@ -323,8 +312,9 @@ def run_search(cfg: SearchConfig) -> list[PairCertificate]:
     # reached them last would leave its other workers idle.  Orders that can
     # hold a pair are few (2280 of 29999 up to 30000): one per task.
     orders = _pairing_orders(cfg.n_max)
-    if cfg.jobs > 1:
-        with multiprocessing.Pool(cfg.jobs) as pool:
+    if cfg.jobs > 1:  # workers ignore SIGINT: Ctrl-C reaches the parent, whose with block ends them
+        with multiprocessing.Pool(cfg.jobs, initializer=signal.signal,
+                                  initargs=(signal.SIGINT, signal.SIG_IGN)) as pool:
             chunks = pool.map(_search_worker, orders, chunksize=1)
         certs = [c for chunk in chunks for c in chunk]
     else:

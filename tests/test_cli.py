@@ -1,5 +1,6 @@
 import ast
 import hashlib
+import importlib
 import json
 import os
 import signal
@@ -193,6 +194,7 @@ def test_ctrl_c_ends_a_parallel_search(tmp_path):
         os.killpg(proc.pid, signal.SIGINT)
         _, stderr = proc.communicate(timeout=20)
         assert proc.returncode != 0, stderr
+        assert proc.returncode == 1 and "Traceback" not in stderr, stderr
         with pytest.raises(ProcessLookupError):
             os.killpg(proc.pid, 0)
         assert not any(out.iterdir())
@@ -202,6 +204,25 @@ def test_ctrl_c_ends_a_parallel_search(tmp_path):
         except ProcessLookupError:
             pass
         proc.wait()
+
+
+def test_interrupt_is_an_error_record(monkeypatch, capsys):
+    # 260 is the least order the search dispatches.
+    def interrupt(N):
+        raise KeyboardInterrupt
+    monkeypatch.setattr(search, "_pairs_for_order", interrupt)
+    assert spaceform.cli.main(["search", "--nmax", "300", "--json"]) == 1
+    record = json.loads(capsys.readouterr().out)
+    assert record["status"] == "error"
+    assert record["payload"] == {"error": "KeyboardInterrupt", "message": "interrupted"}
+
+
+def test_perfbench_trace_targets_exist(monkeypatch):
+    # perfbench wraps these by name; a deleted or renamed one would break --trace.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    tracing = importlib.import_module("tracing")
+    for home, fname in (*tracing.TARGETS, ("search", "_search_worker")):
+        assert callable(getattr(importlib.import_module(f"spaceform.{home}"), fname, None)), (home, fname)
 
 
 def test_construct(tmp_path):

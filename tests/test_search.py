@@ -23,11 +23,10 @@ from spaceform.search import (
     _audible_buckets,
     _bucket_members,
     _buckets,
-    _can_pair,
     _certify,
+    _pair_divisors,
     _pairing_orders,
     _pairs_for_order,
-    _splits,
     audible_invariants,
     certify_pair,
     construct_theorem42_pairs,
@@ -41,7 +40,7 @@ from spaceform.search import (
 from spaceform.spectra import Spectrum, SumRep, _evaluation_grid, _screen_grid, _screen_value, det_classes, \
     evaluate_f_values, choose_prime, root_of_unity, select_points
 
-from oracles import can_pair_by_gcds, full_vector_certify_pair, pairing_orders_by_gcds, scan_theorem42_witness, torsion_construct_theorem42_pairs, \
+from oracles import full_vector_certify_pair, pairing_orders_by_gcds, scan_theorem42_witness, torsion_construct_theorem42_pairs, \
     torsion_scan_canonical
 from table1 import TABLE1_ROWS, canonical_row_set
 
@@ -139,21 +138,16 @@ def test_audible_buckets_match_torsion_scan():
         assert walked == {key: len(members) for key, members in scanned.items()}, N
 
 
-def test_can_pair_holds_wherever_a_bucket_holds_two_groups():
-    # For every (m, n) with m*n <= 6000; it refuses most of them, and every
-    # (m, n) with m a prime power.
-    splits = [(m, n) for N in range(2, 6001) for m, n in _splits(N)]
-    refused = [(m, n) for m, n in splits if not _can_pair(m, n)]
-    assert all(size == 1 for m, n in refused for _, size in _buckets(m, n))
-    assert 2 * len(refused) > len(splits)
-    assert not any(_can_pair(m, n) for m, n in splits if len(factorint(m)) == 1)
-    # Orders 2 and 4 share only a 2; 4 and 4, or 3 and 3, can pair.
-    assert not _can_pair(3 * 5, 4) and _can_pair(5 * 13, 4) and _can_pair(7 * 13, 3)
-
-
-def test_can_pair_matches_gcd_of_gcds_oracle():
-    splits = [(m, n) for N in range(2, 6001) for m, n in _splits(N)]
-    assert all(_can_pair(m, n) == can_pair_by_gcds(m, n) for m, n in splits)
+def test_pairing_orders_hold_every_multi_member_bucket():
+    # Every order up to 6000 with a bucket of two or more groups is
+    # dispatched; fewer than half of the orders are, and none whose odd part
+    # is a prime power.  Orders 2 and 4 share only a 2 (60 = 15 * 4); 4 and
+    # 4 (260 = 65 * 4), or 3 and 3 (273 = 91 * 3), can pair.
+    orders = set(_pairing_orders(6000))
+    assert all(N in orders for N in range(2, 6001) if any(size > 1 for _, size in _audible_buckets(N)))
+    assert 2 * len(orders) < 6000
+    assert 60 not in orders and 260 in orders and 273 in orders
+    assert not any(_pair_divisors(m) for m in range(3, 6001, 2) if len(factorint(m)) == 1)
 
 
 @pytest.mark.parametrize("n_max", [6000, 30000])
