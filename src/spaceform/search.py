@@ -12,10 +12,11 @@ Pipeline per order N:
      orbit walk, modulo a prime q = 1 (mod N) below 2^30 (_screen_grid):
      isospectral groups have equal F_G, so they agree at every non-pole point
      mod every such prime, and a one-digit q keeps the screen cheap;
-     fingerprint only the groups that collide there on shared points at the
-     certificate prime above 10^18, and refine by the exact value vectors;
+     evaluate only the groups that collide there, on the certificate grid
+     spectra picks for them (prime above 10^18), and refine by the exact
+     value vectors;
   4. certify every unordered pair inside a refined bucket (non-isomorphism,
-     fingerprint equality at Spectrum.point_count points, almost-conjugacy).
+     almost-conjugacy), its fingerprint record cut by spectra.
 """
 
 from __future__ import annotations
@@ -48,9 +49,9 @@ from .numtheory import (
 )
 from .spectra import (
     Spectrum,
-    SpectrumFingerprint,
     SumRep,
-    _evaluation_grid,
+    _certificate_grid,
+    _fingerprint_record,
     _screen_grid,
     _screen_value,
     almost_conjugate,
@@ -244,19 +245,13 @@ def _ordered_pair(g1: TypeIParams, g2: TypeIParams) -> tuple[TypeIParams, TypeIP
 
 def _certify(s1: Spectrum, s2: Spectrum, grid, values) -> PairCertificate:
     """The almost-conjugacy check on an ordered pair that passed
-    _ordered_pair and shares the F-values `values` on grid, and its certificate.
-
-    grid = (p, root, points) and the values may run past the pair's own
-    point count: select_points is a prefix rule, so the pair's points and
-    values are the first entries.
+    _ordered_pair and shares the F-values `values` on grid = (p, root, points),
+    and its certificate; grid may be longer than the pair's (_fingerprint_record).
     """
     g1, g2 = s1.rep.group, s2.rep.group
-    count = max(s1.point_count, s2.point_count)
-    p, root, points = grid
     if not almost_conjugate(s1.rep, s2.rep):
         raise CertificationFailed("almost_conjugacy", "natural bijection does not match eigenvalues")
-    fp = SpectrumFingerprint(g1.m, g1.n, g1.d, g1.r, s1.rep.pairs, p, root,
-                             max(s1.degree_bound, s2.degree_bound), points[:count], values[:count])
+    fp = _fingerprint_record(s1, (s1, s2), grid, values)
     applicable, witness = theorem42_applicable(g1, g2)
     return PairCertificate(
         N=g1.order, m=g1.m, n=g1.n, d=g1.d, r1=g1.r, r2=g2.r,
@@ -272,10 +267,10 @@ def _certify_bucket(reps: list[SumRep], N: int) -> list[PairCertificate]:
     Each rep is screened at one point straight from its orbit walk
     (_screen_value), modulo the screen's own prime below 2^30 (_screen_grid).
     Only reps that share a screen value get a Spectrum and the full vector,
-    on the certificate grid (prime above 10^18) built only then, at the
-    largest point count among the spectra built; a chance collision at
-    either prime only costs a full vector.  Each distinct class multiset is
-    evaluated once.
+    on the certificate grid (prime above 10^18) that spectra checks against
+    the budget and builds only then (_certificate_grid); a chance collision
+    at either prime only costs a full vector.  Each distinct class multiset
+    is evaluated once.
     """
     q, q_root, (z,) = _screen_grid(N)
     screened: dict[int, list[SumRep]] = {}
@@ -284,7 +279,7 @@ def _certify_bucket(reps: list[SumRep], N: int) -> list[PairCertificate]:
     spectra = {rep.group: Spectrum.of(rep) for group in screened.values() if len(group) > 1 for rep in group}
     if not spectra:
         return []
-    grid = _evaluation_grid(N, max(s.point_count for s in spectra.values()))
+    grid = _certificate_grid(list(spectra.values()))
     values: dict[tuple, tuple[int, ...]] = {}
     buckets: dict[tuple, list[TypeIParams]] = {}
     for g, s in spectra.items():
@@ -386,19 +381,13 @@ def crosscheck_table(certs: list[PairCertificate]) -> dict:
 
 
 def negative_d2_check(n_max: int) -> bool:
-    """True iff no certificate with d = 2 exists for any N <= n_max.
+    """True iff no two d = 2 groups share an (m, n) with m*n <= n_max, so no
+    certificate with d = 2 exists.
 
-    Validity (gcd(r-1, m) = 1 with r^2 = 1) forces r = -1 mod every prime
-    power of m, so each (m, n) admits at most one d = 2 group and no pair can
-    form; the 2-torsion is enumerated to confirm, and any (m, n) with two
-    canonical groups would fall back to the full fingerprint pipeline.
+    A d = 2 group of (m, n) has r != 1, r^2 = 1 and gcd(r - 1, m) = 1, a
+    condition on m alone.  It forces r = -1 mod every prime power of m, so
+    r = m - 1 is the only such r.  The 2-torsion of every odd m <= n_max // 4
+    (n = 4 is a coprime split of each) is scanned to confirm it.
     """
-    for m in range(3, n_max // 4 + 1, 2):
-        for n in range(4, n_max // m + 1, 4):
-            if math.gcd(m, n) != 1:
-                continue
-            valid = [r for r in torsion_elements(m, 2) if r != 1 and math.gcd(r - 1, m) == 1]
-            if len(valid) > 1:
-                if any(c.d == 2 for c in _pairs_for_order(m * n)):
-                    return False
-    return True
+    return all(sum(r != 1 and math.gcd(r - 1, m) == 1 for r in torsion_elements(m, 2)) < 2
+               for m in range(3, n_max // 4 + 1, 2))

@@ -675,6 +675,22 @@ class SpectrumFingerprint:
                 "values_preview": values[:4]}
 
 
+def _certificate_grid(spectra) -> tuple[int, int, tuple[int, ...]]:
+    """The (p, root, points) of spectra of one order at their largest point
+    count, refused over EVALUATION_LIMIT before any point is chosen."""
+    count = max(s.point_count for s in spectra)
+    _check_f_value_budget(max(len(s.classes) for s in spectra), count)
+    return _evaluation_grid(spectra[0].rep.group.order, count)
+
+
+def _fingerprint_record(s: Spectrum, shared, grid, values) -> SpectrumFingerprint:
+    """s's record from its values on _certificate_grid(shared), cut to the
+    largest degree bound of shared: select_points is a prefix rule."""
+    g, db = s.rep.group, max(t.degree_bound for t in shared)
+    (p, root, points), count = grid, 2 * db + 1
+    return SpectrumFingerprint(g.m, g.n, g.d, g.r, s.rep.pairs, p, root, db, points[:count], values[:count])
+
+
 def fingerprint(rep: SumRep) -> SpectrumFingerprint:
     """Evaluate F_G at deterministic points; see select_points for the rule."""
     return shared_fingerprints([rep])[0]
@@ -683,23 +699,16 @@ def fingerprint(rep: SumRep) -> SpectrumFingerprint:
 def shared_fingerprints(reps: list[SumRep]) -> list[SpectrumFingerprint]:
     """Fingerprints of several same-order groups on one shared (p, root, points).
 
-    The shared degree bound is the max of the per-group bounds, so equality of
-    two value vectors proves equality of the generating functions.
+    The shared degree bound is the max of the per-group bounds (_fingerprint_record),
+    so equal value vectors prove equal generating functions.
     """
     orders = {sr.group.m * sr.group.n for sr in reps}
     if len(orders) != 1:
         raise GroupMismatch("shared fingerprints require equal group order")
     spectra = [Spectrum.of(sr) for sr in reps]
-    db = max(s.degree_bound for s in spectra)
-    count = max(s.point_count for s in spectra)
-    _check_f_value_budget(max(len(s.classes) for s in spectra), count)  # before select_points
-    p, root, points = _evaluation_grid(reps[0].group.order, count)
-    out = []
-    for s in spectra:
-        g = s.rep.group
-        values = evaluate_f_values(s.classes, g.order, p, root, points)
-        out.append(SpectrumFingerprint(g.m, g.n, g.d, g.r, s.rep.pairs, p, root, db, points, values))
-    return out
+    grid = _certificate_grid(spectra)
+    return [_fingerprint_record(s, spectra, grid, evaluate_f_values(s.classes, s.rep.group.order, *grid))
+            for s in spectra]
 
 
 @dataclass(frozen=True)

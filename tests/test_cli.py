@@ -225,6 +225,19 @@ def test_perfbench_trace_targets_exist(monkeypatch):
         assert callable(getattr(importlib.import_module(f"spaceform.{home}"), fname, None)), (home, fname)
 
 
+def test_perfbench_full_stage_is_called_from_search(monkeypatch):
+    # perfbench derives search.full.* from evaluate_f_values calls looked up
+    # in `search` with more than 16 points: one per certified class multiset.
+    lengths = []
+
+    def count_points(classes, N, p, root, points):
+        lengths.append(len(points))
+        return spectra.evaluate_f_values(classes, N, p, root, points)
+    monkeypatch.setattr(search, "evaluate_f_values", count_points)
+    certs = search.run_search(SearchConfig(n_max=3600))
+    assert len(lengths) == len(certs) == 4 and all(n > 16 for n in lengths)
+
+
 def test_construct(tmp_path):
     out = payload(run_cli("construct", "--mmax", "85"))
     assert [1360, 85, 16, 8, 2, 42] in out["rows"]

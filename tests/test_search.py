@@ -17,7 +17,7 @@ from spaceform.errors import (
 )
 from spaceform import spectra
 from spaceform.groups import is_fixed_point_free, is_isomorphic, validate_type1
-from spaceform.numtheory import divisors, factorint, next_prime_in_progression, prime_factors
+from spaceform.numtheory import divisors, factorint, next_prime_in_progression, prime_factors, torsion_elements
 from spaceform.search import (
     SearchConfig,
     _audible_buckets,
@@ -527,14 +527,23 @@ def test_certify_pair_refuses_groups_that_are_not_fixed_point_free():
 
 def test_pairs_for_order_refuses_an_over_budget_full_vector(monkeypatch):
     # Past the table (N = 99280) the first colliding bucket needs a full
-    # vector of 842 classes x 26949 points: refused before it is evaluated.
-    from spaceform import spectra
-
+    # vector of 842 classes x 26949 points, as does certify_pair on its
+    # pair: refused before it is evaluated or any point past the screen's
+    # one is chosen.
     def refuse(*args):
         raise AssertionError("evaluated past the budget")
+
+    def count_points(p, L, count):
+        counts.append(count)
+        return select_points(p, L, count)
     monkeypatch.setattr(spectra, "_packed_dets", refuse)
-    with pytest.raises(SizeLimitExceeded, match="F-value terms exceeds limit"):
-        _pairs_for_order(99280)
+    monkeypatch.setattr(spectra, "select_points", count_points)
+    g1, g2 = validate_type1(6205, 16, 302), validate_type1(6205, 16, 387)
+    for run in (lambda: _pairs_for_order(99280), lambda: certify_pair(g1, g2)):
+        counts = []
+        with pytest.raises(SizeLimitExceeded, match="842 determinant classes x 26949 points = .* F-value terms"):
+            run()
+        assert counts and all(count <= 1 for count in counts)
 
 
 def test_certify_pair_refuses_empty_rep_pairs():
@@ -647,6 +656,22 @@ def test_crosscheck_table():
 def test_negative_d2_small():
     assert negative_d2_check(0)
     assert negative_d2_check(2000)
+
+
+def test_negative_d2_check_refutes_from_the_torsion_scan_alone(monkeypatch):
+    # A second valid d = 2 residue for m = 15 (2: r != 1, gcd(r - 1, 15) = 1)
+    # refutes the check at once, with no search of any order.
+    from spaceform import search
+
+    def torsion(m, n):
+        return sorted({*torsion_elements(m, n), 2}) if m == 15 else torsion_elements(m, n)
+
+    def refuse(N):
+        raise AssertionError(f"searched order {N}")
+    monkeypatch.setattr(search, "torsion_elements", torsion)
+    monkeypatch.setattr(search, "_pairs_for_order", refuse)
+    assert negative_d2_check(59)
+    assert not negative_d2_check(60)
 
 
 def test_d2_canonical_unique_per_mn():
