@@ -30,6 +30,7 @@ import os
 import random
 from dataclasses import dataclass
 from functools import lru_cache, reduce
+from itertools import accumulate
 from operator import add, sub
 
 from .errors import (
@@ -722,9 +723,10 @@ class MolienSeries:
 def molien_coefficients(rep: SumRep, truncation: int = DEFAULT_MOLIEN_TRUNCATION) -> MolienSeries:
     """Power-series coefficients of F_G, lifted from F_p to integers.
 
-    Each class determinant is inverted as a truncated power series; the
-    prime is chosen above dim H_{q,K}, so the lift is unique.  Refused above
-    EVALUATION_LIMIT terms before the bound, the prime or any series work.
+    The series is summed by element order (_molien_from_classes); the prime
+    is chosen above dim H_K(S^q), which no dim H^G_{q,k} with k <= K exceeds
+    (it is non-decreasing in k for q >= 1), so the lift is unique.  Refused
+    above EVALUATION_LIMIT terms before the bound, the prime or any series work.
     """
     if truncation < 0:
         raise ParameterOutOfRange(f"truncation must be >= 0, got {truncation}")
@@ -732,26 +734,47 @@ def molien_coefficients(rep: SumRep, truncation: int = DEFAULT_MOLIEN_TRUNCATION
     _check_limit(f"{len(classes)} determinant classes x K = {truncation} x degree {rep.degree}",
                  len(classes) * truncation * rep.degree, "Molien terms")
     L = rep.group.order
-    coeff_bound = max(harmonic_dim(rep.degree - 1, k) for k in range(truncation + 1))
-    p = choose_prime(L, max(DEFAULT_PRIME_FLOOR, coeff_bound))
+    p = choose_prime(L, max(DEFAULT_PRIME_FLOOR, harmonic_dim(rep.degree - 1, truncation)))
     return MolienSeries(truncation, tuple(_molien_from_classes(classes, L, truncation, p, root_of_unity(p, L))))
 
 
 def _molien_from_classes(classes, group_order: int, K: int, p: int, root: int) -> list[int]:
-    """Lifted coefficients of (1-z^2)/|G| * sum_C count/det_C as a power series,
-    each det_C (_class_field_data) inverted over its nonzero terms.  The
-    inverse is kept behind deg(det_C) zeros, so no term needs a bounds test."""
-    total = [0] * (K + 1)
-    for count, det in _class_field_data(classes, p, _root_powers(p, root, group_order)):
+    """Lifted coefficients of (1-z^2)/|G| * sum_C count/det_C as a power series.
+
+    The roots of a factor (e, M) of det_C (_class_field_data) are the e
+    distinct e-th roots of eta^M, all (e * L/gcd(M, L))-th roots of unity;
+    factors with other M share none.  So det_C divides (1 - z^o)^mu, with o
+    the lcm of those orders and mu the largest multiplicity of a factor, and
+    1/det_C = P_C/(1 - z^o)^mu with deg P_C = o*mu - D.  The series of
+    count/det_C, run only to T = min(K, o*mu - D) behind D zeros, times
+    (1 - z^o)^mu is count*P_C to z^T.  The P_C of one (o, mu) are summed and
+    divided by (1 - z^o)^mu once, by mu prefix sums along each residue mod o.
+    """
+    L = group_order
+    sums = {}
+    for (factors, _), (count, det) in zip(classes, _class_field_data(classes, p, _root_powers(p, root, L))):
+        o = math.lcm(*(e * L // math.gcd(M, L) for e, M in factors))
+        mu = max(map(factors.count, factors))
         terms = [(i, c) for i, c in enumerate(det) if i and c]
         D = len(det) - 1
-        inv = [0] * D + [1] + [0] * K
-        for t in range(D + 1, D + K + 1):
+        T = min(K, o * mu - D)
+        num = [0] * D + [count] + [0] * T
+        for t in range(D + 1, D + T + 1):
             s = 0
             for i, c in terms:
-                s += c * inv[t - i]
-            inv[t] = -s % p
-        for t in range(K + 1):
-            total[t] = (total[t] + count * inv[D + t]) % p
+                s += c * num[t - i]
+            num[t] = -s % p
+        num = num[D:]
+        for _ in range(mu):
+            num[o:] = map(sub, num[o:], num)
+        acc = sums.setdefault((o, mu), [0] * (K + 1))
+        acc[:T + 1] = map(add, acc, num)
+    for (o, mu), acc in sums.items():
+        for r in range(min(o, K + 1)):
+            col = acc[r::o]
+            for _ in range(mu):
+                col = accumulate(col)
+            acc[r::o] = col
+    total = [sum(column) for column in zip(*sums.values())]
     inv_order = pow(group_order, -1, p)
     return [(total[k] - (total[k - 2] if k >= 2 else 0)) * inv_order % p for k in range(K + 1)]

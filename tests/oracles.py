@@ -10,6 +10,8 @@ library against.  Nothing in src/ imports this module.
 - The reference F-evaluator: each class determinant expanded with one pow()
   per factor, then evaluated point by point by Horner with a reduction mod p
   at every step.
+- The reference Molien series: each class determinant inverted as a power
+  series to the full truncation K, one recurrence per class.
 - Pair certification by the full-vector rule: both complete value vectors
   evaluated and compared, with no screen.
 - Helpers on eigenvalue exponent multisets.
@@ -237,6 +239,32 @@ def _evaluate_sum(class_data, group_order: int, p: int, points) -> tuple[int, ..
 def reference_f_values(classes, group_order: int, p: int, root: int, points) -> tuple[int, ...]:
     """F_G at the given points by the reference evaluator."""
     return _evaluate_sum(_class_field_data(classes, p, root), group_order, p, points)
+
+
+
+# --- reference Molien series -----------------------------------------------
+
+def reference_molien_from_classes(classes, group_order: int, K: int, p: int, root: int) -> list[int]:
+    """Coefficients of (1-z^2)/|G| * sum_C count/det_C over F_p to z^K, each
+    det_C (the reference expansion, read in z) inverted as a power series to
+    z^K over its nonzero terms.  The inverse is kept behind deg(det_C) zeros,
+    so no term needs a bounds test."""
+    total = [0] * (K + 1)
+    for count, e, coeffs in _class_field_data(classes, p, root):
+        det = [0] * (e * (len(coeffs) - 1) + 1)
+        det[::e] = coeffs
+        terms = [(i, c) for i, c in enumerate(det) if i and c]
+        D = len(det) - 1
+        inv = [0] * D + [1] + [0] * K
+        for t in range(D + 1, D + K + 1):
+            s = 0
+            for i, c in terms:
+                s += c * inv[t - i]
+            inv[t] = -s % p
+        for t in range(K + 1):
+            total[t] = (total[t] + count * inv[D + t]) % p
+    inv_order = pow(group_order, -1, p)
+    return [(total[k] - (total[k - 2] if k >= 2 else 0)) * inv_order % p for k in range(K + 1)]
 
 
 # --- certification by the full-vector rule ---------------------------------

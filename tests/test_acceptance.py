@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s`.  The heavy shared
 computations (the N <= 8000 and N <= 30000 searches) are session fixtures.
 """
 
+import hashlib
 import math
 import multiprocessing
 import random
@@ -28,6 +29,7 @@ from spaceform.search import (
     enumerate_canonical,
     negative_d2_check,
     run_search,
+    write_results,
 )
 from spaceform.spectra import (
     RepParams,
@@ -74,6 +76,20 @@ def test_criterion_1_extended_full_table(search_30000):
     got = {(c.N, c.m, c.n, c.d, frozenset({c.r1, c.r2})) for c in certs}
     ok = got == canonical_row_set(TABLE1_ROWS)
     report("1-extended", ok, f"{len(certs)} pairs for N <= 30000, {duration:.0f}s with parallelism")
+
+
+# sha256 of the `sha256sum`-style listing, in sorted order of the names, of the
+# 56 files that `search --nmax 30000 --out` writes (tools/bench_search.py).
+FULL_TABLE_DIGEST = "c052789c75403d6075770005ba35b4a98f16323f09c7f8661192d1a49d279041"
+
+
+def test_criterion_1_extended_full_table_bytes(search_30000, tmp_path):
+    certs, _ = search_30000
+    write_results(str(tmp_path), certs)
+    names = sorted(p.name for p in tmp_path.iterdir())
+    listing = "".join(f"{hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()}  {name}\n" for name in names)
+    ok = hashlib.sha256(listing.encode()).hexdigest() == FULL_TABLE_DIGEST
+    report("1-extended-bytes", ok, f"{len(names)} files written for N <= 30000, listing digest recorded")
 
 
 def test_criterion_2_smallest_pair_certificate():

@@ -147,6 +147,13 @@ def test_harmonic_dim():
     assert [harmonic_dim(1, k) for k in range(4)] == [1, 2, 2, 2]
 
 
+def test_harmonic_dim_is_non_decreasing_in_k():
+    # molien_coefficients bounds every dim H^G_{q,k}, k <= K, by dim H_K(S^q) alone.
+    for q in range(1, 64):
+        dims = [harmonic_dim(q, k) for k in range(3000)]
+        assert all(a <= b for a, b in zip(dims, dims[1:])), q
+
+
 def test_next_prime_in_progression():
     p = next_prime_in_progression(1360, 10**18)
     assert p > 10**18 and (p - 1) % 1360 == 0 and is_prime(p)

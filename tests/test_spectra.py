@@ -47,6 +47,7 @@ from oracles import (
     is_conjugation_closed,
     poly_from_exponents,
     reference_f_values,
+    reference_molien_from_classes,
     rescaled,
 )
 from table1 import TABLE1_ROWS
@@ -700,6 +701,52 @@ def test_molien_refuses_over_budget(monkeypatch):
         monkeypatch.setattr(spectra, name, _refuse)
     with pytest.raises(SizeLimitExceeded, match="20 determinant classes x K = 100000 x degree 16 = 32000000"):
         molien_coefficients(SumRep.rho11(G85), truncation=100000)
+
+
+def _molien_thresholds(classes, L):
+    """The sorted distinct o*mu - D of the classes: o the lcm order and mu the
+    largest multiplicity of the eigenvalues zeta_L^t (e*t = M mod L) of the
+    class, D their number."""
+    out = set()
+    for factors, _ in classes:
+        exps = [(M // e + i * L // e) % L for e, M in factors for i in range(e)]
+        o = math.lcm(*(L // math.gcd(t, L) for t in exps))
+        out.add(o * max(map(exps.count, exps)) - len(exps))
+    return sorted(out)
+
+
+def test_molien_matches_reference(valid_pool_2000):
+    # K at 0, 1, D, 200 and around the two smallest nonzero o*mu - D, where a
+    # class's recurrence stops at o*mu - D instead of K; the 1360 pair also
+    # at K = 1500.
+    synthetic = [((((1, 0),) * 3, 1),), ((((2, 0),) * 2, 1),)]
+    p = choose_prime(4, 10**6)
+    root = root_of_unity(p, 4)
+    for classes in synthetic:
+        for K in range(11):
+            assert _molien_from_classes(classes, 1, K, p, root) == reference_molien_from_classes(classes, 1, K, p, root)
+    groups = [validate_type1(m, n, r) for N, m, n, d, r1, r2 in TABLE1_ROWS if N <= 3600 for r in (r1, r2)]
+    reps = [SumRep.rho11(g) for g in groups + [validate_type1(85, 16, 9), validate_type1(221, 16, 25)]]
+    rng = random.Random(1500)
+    small = [g for g in valid_pool_2000 if g.m * g.n <= 600]
+    reps += _random_sum_reps(rng, small, 4)
+    for g in rng.sample(small, 4):  # repeated summands: eigenvalues of multiplicity mu > 1
+        ks = [k for k in range(1, g.m + 1) if math.gcd(k, g.m) == 1]
+        ls = [l for l in range(1, g.n + 1) if math.gcd(l, g.n) == 1]
+        kl = (rng.choice(ks), rng.choice(ls))
+        reps += [SumRep.from_pairs(g, [kl, kl]), SumRep.from_pairs(g, [kl, kl, (rng.choice(ks), rng.choice(ls))])]
+    for rep in reps:
+        classes = Spectrum.of(rep).classes
+        L = rep.group.order
+        p = choose_prime(L, 10**18)
+        root = root_of_unity(p, L)
+        cut = [t for t in _molien_thresholds(classes, L) if t > 0][:2]
+        Ks = {0, 1, rep.degree, 200} | {t + i for t in cut for i in (-1, 0, 1)}
+        if (rep.group.m, rep.group.n) == (85, 16) and rep.group.r in (2, 42):
+            Ks.add(1500)
+        reference = reference_molien_from_classes(classes, L, max(Ks), p, root)
+        for K in sorted(Ks):
+            assert _molien_from_classes(classes, L, K, p, root) == reference[:K + 1], (rep, K)
 
 
 # --- encode consistency: value equality iff coefficient equality ---------

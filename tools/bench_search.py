@@ -1,6 +1,7 @@
 """Time two whole searches and record them as one row of BENCH_search.json.
 
     python3 tools/bench_search.py --label <name> [--src DIR] [--out FILE]
+    python3 tools/bench_search.py --label <name> --base CHECKOUT [--src DIR] [--out FILE]
 
 Runs `python -m spaceform search --nmax 8000 --jobs 1 --out ...` and
 `search --nmax 30000 --jobs 2 --out ...`, each RUNS = 3 times and each time
@@ -17,6 +18,13 @@ differ stop the script.  The row goes into --out (default:
 BENCH_search.json at the root of the checkout) under its label, replacing a
 row of the same label; the host's core count and Python version go with it.
 The 30000 search takes tens of seconds; the whole script a few minutes.
+
+With --base, the runs are paired: each search alternates a run of
+CHECKOUT/src (the base) and a run of --src (the change), RUNS times each
+(ABAB), so a drift of the host's speed hits both sides alike.  The row then
+holds each side's medians and digest under "base" and "change", and the
+median over the pairs of change/base wall and CPU seconds.  It is printed,
+and written only to an explicit --out.
 """
 
 from __future__ import annotations
@@ -67,36 +75,67 @@ def time_search(src: str, n_max: int, jobs: int) -> dict:
                 "files": len(os.listdir(out)), "digest": listing_digest(out)}
 
 
-def median_row(src: str, n_max: int, jobs: int) -> dict:
-    """The medians of RUNS runs of one search; every run must write the same bytes."""
-    runs = [time_search(src, n_max, jobs) for _ in range(RUNS)]
+def summarize(what: str, runs: list) -> dict:
+    """The medians of runs of one search; every run must write the same bytes."""
     if len({(run["files"], run["digest"]) for run in runs}) != 1:
-        raise RuntimeError(f"search --nmax {n_max} --jobs {jobs}: runs wrote different files: {runs}")
-    row = {"n_max": n_max, "jobs": jobs, "runs": RUNS}
+        raise RuntimeError(f"{what}: runs wrote different files: {runs}")
+    row = {"runs": len(runs)}
     for key, digits in (("wall_s", 2), ("cpu_s", 2), ("cal_s", 4), ("wall_cal", 1), ("cpu_cal", 1)):
         row[key] = round(statistics.median(run[key] for run in runs), digits)
     return {**row, "files": runs[0]["files"], "digest": runs[0]["digest"]}
+
+
+def median_row(src: str, n_max: int, jobs: int) -> dict:
+    runs = [time_search(src, n_max, jobs) for _ in range(RUNS)]
+    return {"n_max": n_max, "jobs": jobs, **summarize(f"search --nmax {n_max} --jobs {jobs}", runs)}
+
+
+def paired_row(base_src: str, src: str, n_max: int, jobs: int) -> dict:
+    """RUNS alternating (base, change) runs of one search: each side's medians
+    and the median per-pair ratio change/base of wall and CPU seconds."""
+    pairs = [(time_search(base_src, n_max, jobs), time_search(src, n_max, jobs)) for _ in range(RUNS)]
+    what = f"search --nmax {n_max} --jobs {jobs}"
+    row = {"n_max": n_max, "jobs": jobs, "base": summarize(f"{what} (base)", [a for a, _ in pairs]),
+           "change": summarize(f"{what} (change)", [b for _, b in pairs])}
+    for key in ("wall_s", "cpu_s"):
+        row[f"{key}_ratio"] = round(statistics.median(b[key] / a[key] for a, b in pairs), 3)
+    return row
 
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--label", required=True, help="row name, e.g. a commit and what it holds")
     ap.add_argument("--src", default=os.path.join(ROOT, "src"), help="directory that holds the spaceform package")
-    ap.add_argument("--out", default=os.path.join(ROOT, "BENCH_search.json"))
+    ap.add_argument("--base", help="a checkout whose src/ runs alternately with --src (paired mode)")
+    ap.add_argument("--out", help="JSON file for the row (default: BENCH_search.json, "
+                                  "or none in paired mode)")
     args = ap.parse_args()
-    row = {"label": args.label, "cores": os.cpu_count(), "python": platform.python_version(),
-           **{name: median_row(os.path.abspath(args.src), n_max, jobs) for name, n_max, jobs in SEARCHES}}
+    src = os.path.abspath(args.src)
+    row = {"label": args.label, "cores": os.cpu_count(), "python": platform.python_version()}
+    if args.base:
+        base_src = os.path.join(os.path.abspath(args.base), "src")
+        row.update({name: paired_row(base_src, src, n_max, jobs) for name, n_max, jobs in SEARCHES})
+    else:
+        row.update({name: median_row(src, n_max, jobs) for name, n_max, jobs in SEARCHES})
+    print(json.dumps(row, indent=1))
+    out = args.out or (None if args.base else os.path.join(ROOT, "BENCH_search.json"))
+    if out:
+        write_row(out, row)
+
+
+def write_row(out: str, row: dict) -> None:
+    """Put row into out, replacing a row of the same label."""
     rows = []
-    if os.path.exists(args.out):
-        with open(args.out) as f:
-            rows = [r for r in json.load(f)["rows"] if r["label"] != args.label]
-    with open(args.out, "w") as f:
+    if os.path.exists(out):
+        with open(out) as f:
+            rows = [r for r in json.load(f)["rows"] if r["label"] != row["label"]]
+    with open(out, "w") as f:
         json.dump({"about": "tools/bench_search.py: whole searches through the CLI, wall and CPU seconds "
                             "and the same in units of perfbench's calibration loop; "
-                            "rows with \"runs\" hold the medians of that many runs",
+                            "rows with \"runs\" hold the medians of that many runs; paired rows "
+                            "(--base) hold them under \"base\" and \"change\", with the median ratios",
                    "rows": rows + [row]}, f, indent=1)
         f.write("\n")
-    print(json.dumps(row, indent=1))
 
 
 if __name__ == "__main__":
