@@ -111,7 +111,7 @@ def _cmd_fingerprint(args, diags) -> CommandResult:
     g = validate_type1(args.m, args.n, _reduce_r(args.m, args.r, diags))
     rep = SumRep.from_pairs(g, args.reps)
     payload = fingerprint(rep).to_dict()
-    if args.kmolien:
+    if args.kmolien is not None:
         payload = {"fingerprint": payload,
                    "molien": list(molien_coefficients(rep, args.kmolien).coefficients)}
     return CommandResult("ok", payload, diags)
@@ -125,7 +125,7 @@ def _cmd_certify_pair(args, diags) -> CommandResult:
     except CertificationFailed as exc:
         return CommandResult("error", {"refuted": True, "failed_check": exc.check, "detail": exc.detail},
                              diags + [str(exc)])
-    if args.kmolien:
+    if args.kmolien is not None:
         m1 = molien_coefficients(SumRep.rho11(g1), args.kmolien).coefficients
         m2 = molien_coefficients(SumRep.rho11(g2), args.kmolien).coefficients
         if m1 != m2:
@@ -191,10 +191,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add("fingerprint", _cmd_fingerprint, "deterministic F_G(z) evaluation record", ("r",))
     sp.add_argument("--reps", type=_parse_reps, default=((1, 1),),
                     help='summands "k1,l1;k2,l2;..." (default 1,1)')
-    sp.add_argument("--kmolien", type=nonnegative, default=0, help="also emit Molien coefficients up to K")
+    sp.add_argument("--kmolien", type=nonnegative, default=None, help="also emit Molien coefficients up to K")
 
     sp = add("certify-pair", _cmd_certify_pair, "full certificate or refutation for a pair", ("r1", "r2"))
-    sp.add_argument("--kmolien", type=nonnegative, default=0, help="extra Molien agreement check up to K")
+    sp.add_argument("--kmolien", type=nonnegative, default=None, help="extra Molien agreement check up to K")
 
     sp = add("search", _cmd_search, "find all isospectral non-isomorphic pairs with N <= nmax")
     sp.add_argument("--nmax", type=positive, required=True)

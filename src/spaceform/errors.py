@@ -37,7 +37,8 @@ class NotFixedPointFree(SpaceformError):
 class ParameterOutOfRange(SpaceformError):
     """A parameter is out of its range: m, n, n_max or jobs below 1, a
     negative Molien truncation, a SPACEFORM_PRIME_SEED that is not an
-    integer, an element A^a B^b outside 0 <= a < m, 0 <= b < n, or a number
+    integer, an F-value point list that is not a grid (evaluate_f_values),
+    an element A^a B^b outside 0 <= a < m, 0 <= b < n, or a number
     theory argument outside its domain (factorint below 1, a non-unit order,
     a primitive root mod anything but an odd prime power, torsion mod an
     even m)."""

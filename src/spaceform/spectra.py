@@ -55,7 +55,7 @@ _SCREEN_PRIME_FLOOR = 2**29
 # Most elements of a group walk (any walk visits at most |G| = m*n), terms of
 # a full F-value vector (#classes * #points) or of a Molien series to K
 # (#classes * K * degree).  The F-value count is the vector's size, not its
-# work: a shifted vector (_shifted_fractions) evaluates about #classes^2 * D /
+# work: a vector (_shifted_fractions) evaluates about #classes^2 * D /
 # blocks class determinants and makes 2 * blocks packed products.  The largest
 # Table-1 spectrum (N = 29648) has 2,997,882 F-value terms.
 EVALUATION_LIMIT = 10_000_000
@@ -342,6 +342,7 @@ class Spectrum:
     degree_bound: int
 
     @classmethod
+    @lru_cache(maxsize=4)  # fingerprint or certify-pair, then Molien, walk each group once
     def of(cls, rep: SumRep) -> "Spectrum":
         classes = det_classes(rep)
         return cls(rep, classes, 2 + len(classes) * rep.degree)
@@ -456,16 +457,16 @@ def _class_field_data(classes, p: int, powers):
 
 
 def _packed_dets(class_data, D: int, p: int, lo: int, count: int):
-    """Every class determinant at each of the count points lo, lo + 1, ...
-    (lo >= 0), from a packed forward-difference table.
+    """Every class determinant at each of the count >= D + 1 points lo,
+    lo + 1, ... (lo >= 0), from a packed forward-difference table.
 
     Coefficient j of z of every class is packed into one integer, one lane of
     w bytes per class (Kronecker substitution).  A determinant of degree D is
     below (D+1) * p * z^D at z <= lo + count - 1, so it fits its lane
     unreduced and each lane is reduced mod p once.  diffs[k] holds the packed
-    Delta^k det(z), seeded by Horner at the first min(count, D + 1) points;
-    one addition per entry steps it to z + 1.  As exact integers its entries
-    may spill over their lanes.
+    Delta^k det(z), seeded by Horner at the first D + 1 points; one addition
+    per entry steps it to z + 1.  As exact integers its entries may spill
+    over their lanes.
     """
     w = ((D + 1).bit_length() + p.bit_length() + D * (lo + count - 1).bit_length() + 7) // 8
     size = w * len(class_data)
@@ -473,10 +474,9 @@ def _packed_dets(class_data, D: int, p: int, lo: int, count: int):
     from_bytes = int.from_bytes
     packed = [from_bytes(b"".join(coeffs[j].to_bytes(w, "little") for _, coeffs in class_data), "little")
               for j in range(D + 1)]
-    seeds = min(count, D + 1)
-    diffs = [reduce(lambda h, c: h * x + c, packed[::-1]) for x in range(lo, lo + seeds)]
-    for k in range(1, seeds):
-        diffs[k:] = map(sub, diffs[k:], diffs[k - 1:seeds - 1])
+    diffs = [reduce(lambda h, c: h * x + c, packed[::-1]) for x in range(lo, lo + D + 1)]
+    for k in range(1, D + 1):
+        diffs[k:] = map(sub, diffs[k:], diffs[k - 1:D])
     for _ in range(count):
         row = diffs[0].to_bytes(size, "little")
         yield [from_bytes(row[lane], "little") % p for lane in lanes]
@@ -579,35 +579,29 @@ def _block_fractions(block, D: int, p: int, lo: int, span: int, inv_fact, packed
 
 
 def evaluate_f_values(classes, group_order: int, p: int, root: int, points) -> tuple[int, ...]:
-    """Exact values of F_G at the given points (classes from det_classes, so
-    every exponent M is below L = group_order).  Each class determinant is
-    expanded once and evaluated by a packed table (_packed_dets) that walks
-    one range of consecutive integers.  When distinct points fill at least
-    half of an integer range shorter than p, as every select_points grid
-    does, and outnumber the nodes of the largest block of classes
-    (_block_count), the table walks each block's degree + 1 nodes only and
-    the values are shifted to the rest of the range (_shifted_fractions).
-    Any other point list is a range of one per point.  Refused before any
-    work above EVALUATION_LIMIT terms.
+    """Exact values of F_G on a grid (classes from det_classes, so every
+    exponent M is below L = group_order): more points than the |B|*D + 1
+    nodes of the largest block B of classes (_block_count), in any order,
+    filling at least half of an integer range shorter than p, as select_points
+    of Spectrum.point_count does.  Each block is evaluated at its nodes only
+    (_packed_dets) and shifted to the rest of the range (_shifted_fractions);
+    F at any other point is _screen_value's job.  Refused before any work
+    above EVALUATION_LIMIT terms or off a grid.
     """
     _check_f_value_budget(len(classes), len(points))
-    if not points:
-        return ()
-    data = _class_field_data(classes, p, _root_powers(p, root, group_order))
-    D = len(data[0][1]) - 1
-    k = len(data)
+    D = sum(e for e, _ in classes[0][0])
+    k = len(classes)
     nb = min(_block_count(k), k)
+    nodes = -(-k // nb) * D + 1  # of the largest block
+    lo = min(points, default=0)
+    span = max(points, default=-1) - lo + 1
+    if not nodes < len(points) <= span <= min(2 * len(points), p - 1):
+        raise ParameterOutOfRange(f"{len(points)} points spanning {span} are no grid for "
+                                  f"{nodes} nodes per block mod p = {p}")
+    data = _class_field_data(classes, p, _root_powers(p, root, group_order))
     blocks = [data[i * k // nb:(i + 1) * k // nb] for i in range(nb)]
-    lo = min(points)
-    span = max(points) - lo + 1
-    if max(map(len, blocks)) * D + 1 < len(points) <= span <= 2 * len(points) and span < p:
-        nums, dens = _shifted_fractions(blocks, D, p, lo % p, span)
-        fractions = [(nums[z - lo], dens[z - lo]) for z in points]
-    else:
-        counts = [count for count, _ in data]
-        fractions = [_class_fraction(zip(counts, row), p)
-                     for z in points for row in _packed_dets(data, D, p, z % p, 1)]
-    return _f_from_fractions(fractions, group_order, p, points)
+    nums, dens = _shifted_fractions(blocks, D, p, lo % p, span)
+    return _f_from_fractions([(nums[z - lo], dens[z - lo]) for z in points], group_order, p, points)
 
 
 def _screen_value(rep: SumRep, p: int, root: int, z: int) -> int:

@@ -4,6 +4,7 @@ import pytest
 
 from spaceform.groups import validate_type1, is_fixed_point_free
 from spaceform.numtheory import torsion_elements
+from spaceform.spectra import Spectrum
 
 
 def enumerate_valid_groups(max_order: int):
@@ -21,6 +22,13 @@ def enumerate_valid_groups(max_order: int):
                     continue
                 out.append(validate_type1(m, n, r))
     return out
+
+
+@pytest.fixture(autouse=True)
+def fresh_spectra():
+    """Spectrum.of keeps its last few spectra: a test that counts the class
+    walks its code makes must not see those of an earlier test."""
+    Spectrum.of.cache_clear()
 
 
 @pytest.fixture(scope="session")

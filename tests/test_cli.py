@@ -95,9 +95,24 @@ def test_fingerprint():
 
 
 def test_fingerprint_with_molien():
-    out = payload(run_cli("fingerprint", "5", "4", "4", "--kmolien", "8"))
-    assert out["molien"][0] == 1
-    assert len(out["molien"]) == 9
+    # K = 0 is a truncation like any other: one coefficient, dim H^G_0 = 1.
+    for k in (8, 0):
+        out = payload(run_cli("fingerprint", "5", "4", "4", "--kmolien", str(k)))
+        assert out["molien"][0] == 1 and len(out["molien"]) == k + 1
+
+
+@pytest.mark.parametrize("argv, walks", [
+    (["fingerprint", "85", "16", "2", "--kmolien", "8"], 1),
+    (["certify-pair", "85", "16", "2", "42", "--kmolien", "8"], 2),
+], ids=["fingerprint", "certify-pair"])
+def test_kmolien_walks_each_group_once(argv, walks, monkeypatch, capsys):
+    # The Molien series reuses the spectrum the F-values were built from.
+    calls = []
+    det_classes = spectra.det_classes
+    monkeypatch.setattr(spectra, "det_classes", lambda rep: calls.append(rep) or det_classes(rep))
+    assert spaceform.cli.main([*argv, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "ok"
+    assert len(calls) == walks == len(set(calls))
 
 
 def test_fingerprint_and_certify_pair_refuse_oversized_group():

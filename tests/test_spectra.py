@@ -347,76 +347,93 @@ def test_fingerprint_root_choice_does_not_change_values():
         evaluate_f_values(classes, 20, p, alt, points)
 
 
-def test_evaluation_order_invariance():
-    # 4 points, the degree, and 10 points past it, on the packed Horner pass.
+def _one_class_per_block(monkeypatch):
+    # One class per block: a block's nodes are D + 1, so D + 2 points are a grid.
+    monkeypatch.setattr(spectra, "_block_count", lambda k: k)
+
+
+def test_evaluation_order_invariance(monkeypatch):
+    # The full point_count grid under the default block rule, then D + 2 and
+    # 10 points with one class per block.
     classes = det_classes(SumRep.rho11(G54))
     p = choose_prime(20)
     root = root_of_unity(p, 20)
-    for count in (4, 10):
+    for count, rule in ((61, spectra._block_count), (6, lambda k: k), (10, lambda k: k)):
+        monkeypatch.setattr(spectra, "_block_count", rule)
         points = select_points(p, 20, count)
         assert evaluate_f_values(classes, 20, p, root, points) == \
             evaluate_f_values(classes[::-1], 20, p, root, points)
 
 
-def _assert_matches_reference(rep, counts, extra_points=()):
+def _assert_matches_reference(rep, counts, shifts=(0,)):
     # The evaluator against the reference evaluator, in both class orders, on
-    # point counts up to the degree and past it.
+    # select_points grids of the given point counts, each also shifted by the
+    # given multiples of p.  Callers take one class per block.
     classes = det_classes(rep)
     L = rep.group.order
-    assert max(counts) > rep.degree >= min(counts)
     p = choose_prime(L)
     root = root_of_unity(p, L)
     for count in counts:
-        points = select_points(p, L, count) + tuple(extra_points)
-        expected = reference_f_values(classes, L, p, root, points)
-        assert evaluate_f_values(classes, L, p, root, points) == expected, (rep, count)
-        assert evaluate_f_values(classes[::-1], L, p, root, points) == expected, (rep, count)
+        for shift in shifts:
+            points = tuple(z + shift * p for z in select_points(p, L, count))
+            expected = reference_f_values(classes, L, p, root, points)
+            assert evaluate_f_values(classes, L, p, root, points) == expected, (rep, count, shift)
+            assert evaluate_f_values(classes[::-1], L, p, root, points) == expected, (rep, count, shift)
 
 
-def test_f_values_match_reference_on_pool(fpf_pool_2000):
+def test_f_values_match_reference_on_pool(fpf_pool_2000, monkeypatch):
+    # The shortest grid: D + 2 points.
+    _one_class_per_block(monkeypatch)
     rng = random.Random(73)
     reps = [SumRep.rho11(g) for g in rng.sample(fpf_pool_2000, 60)]
     reps += _random_sum_reps(rng, fpf_pool_2000, 40)
     for rep in reps:
-        _assert_matches_reference(rep, (1, rep.degree, rep.degree + 1))
+        _assert_matches_reference(rep, (rep.degree + 2,))
 
 
-def test_f_values_match_reference_on_table1():
+def test_f_values_match_reference_on_table1(monkeypatch):
     # Every Table-1 group to 8000 on a few hundred points, a d = 16 group
-    # among them; points at and above p reach the packed pass unreduced.
+    # among them.  Points at and above p: short grids shifted by p and 4p,
+    # and a grid across p, whose nodes reach the packed pass unreduced.
+    _one_class_per_block(monkeypatch)
     groups = {validate_type1(m, n, r) for N, m, n, d, r1, r2 in TABLE1_ROWS if N <= 8000 for r in (r1, r2)}
     assert any(g.d == 16 for g in groups)
     for g in groups:
+        rep = SumRep.rho11(g)
+        _assert_matches_reference(rep, (300,))
+        _assert_matches_reference(rep, (rep.degree + 2,), (1, 4))
+        classes = det_classes(rep)
         p = choose_prime(g.order)
-        high = [z for z in (p - 2, p, p + 2, p + 3, 2 * p + 3, 5 * p - 2) if pow(z, g.order, p) != 1]
-        _assert_matches_reference(SumRep.rho11(g), (1, 300), high)
+        root = root_of_unity(p, g.order)
+        across = tuple(z for z in range(p - 3, p + 2 * rep.degree) if pow(z, g.order, p) != 1)
+        assert evaluate_f_values(classes, g.order, p, root, across) == \
+            reference_f_values(classes, g.order, p, root, across), g
 
 
-def test_f_values_match_reference_on_skipped_and_scattered_points():
+def test_f_values_match_reference_on_skipped_and_scattered_points(monkeypatch):
     # With L = 20 and p = 41 select_points skips the 20 squares mod 41, so the
-    # forward-difference table steps over them.  Points more than D past the
-    # last one, points going backwards, repeats and points at or above p
-    # are each a range of one.  Two-summand sums reach D = 8 (order 20) and
-    # D = 32 (1360); each of the first three points of 1360 is a range of one,
-    # with lanes sized for that point.
+    # forward-difference table steps over them.  A grid's points may also be
+    # scattered over its range in any order, repeat, or be shifted by
+    # multiples of p.  Two-summand sums reach D = 8 (order 20) and D = 32
+    # (1360).
+    _one_class_per_block(monkeypatch)
     p = 41
     root = root_of_unity(p, 20)
     grid = select_points(p, 20, 16)
     assert set(range(2, grid[-1])) - set(grid) and max(b - a for a, b in zip(grid, grid[1:])) <= 4
-    scattered = (grid[-1], grid[0], grid[0], grid[5], grid[0] + p, grid[3] + 2 * p, grid[1])
+    scattered = tuple(random.Random(89).sample(grid, len(grid))) + grid[5:9] + grid[:2]
     for rep in (SumRep.rho11(G54), SumRep.from_pairs(G54, ((1, 1), (2, 3)))):
         classes = det_classes(rep)
-        for points in (grid, grid[::-1], grid[::3], scattered, grid + scattered):
+        for points in (grid, grid[::-1], scattered, tuple(z + 3 * p for z in scattered)):
             assert evaluate_f_values(classes, 20, p, root, points) == \
                 reference_f_values(classes, 20, p, root, points), (rep, points)
-        assert evaluate_f_values(classes, 20, p, root, ()) == ()
     rep = SumRep.from_pairs(G85, ((1, 1), (3, 5)))
     assert rep.degree == 32
     classes = det_classes(rep)
     p = choose_prime(1360)
     root = root_of_unity(p, 1360)
     grid = select_points(p, 1360, 40)
-    for points in (grid, grid[:3], grid[:3] + (200, 100, 100, 40, 73, p + 5)):
+    for points in (grid, tuple(random.Random(97).sample(grid, len(grid))), tuple(z + p for z in grid)):
         assert evaluate_f_values(classes, 1360, p, root, points) == \
             reference_f_values(classes, 1360, p, root, points)
 
@@ -463,6 +480,16 @@ def test_shifted_f_values_match_reference_on_full_grids(fpf_pool_2000, monkeypat
             assert len(sizes) == min(rule(k), k) and sum(sizes) == k, (rep, rule(k))
 
 
+def test_largest_table1_vector_matches_reference():
+    # N = 29648, the Table-1 spectrum with the most F-value terms: 306 classes
+    # of degree 16 on its certificate grid of 9797 points, and the only
+    # vector whose classes fall into 8 blocks.
+    s = Spectrum.of(SumRep.rho11(validate_type1(1853, 16, 76)))
+    assert (len(s.classes), s.point_count, spectra._block_count(len(s.classes))) == (306, 9797, 8)
+    p, root, points = spectra._certificate_grid([s])
+    assert evaluate_f_values(s.classes, 29648, p, root, points) == reference_f_values(s.classes, 29648, p, root, points)
+
+
 def test_shifted_f_values_raise_only_at_requested_poles(monkeypatch):
     # L = 20 and p = 41: select_points skips the squares, so the nodes
     # lo..lo+n of a block hold skipped roots of unity, and some are poles.
@@ -493,22 +520,31 @@ def test_shifted_f_values_raise_only_at_requested_poles(monkeypatch):
                     evaluate_f_values(classes, 20, p, root, grid + (z,))
 
 
-def test_sparse_points_take_the_direct_path(monkeypatch):
-    # (2, 10**6) spans far more than twice its length: no block is shifted.
-    # Nor is a repeated point, whose span of one cannot hold a block's nodes.
-    monkeypatch.setattr(spectra, "_shifted_fractions", _refuse)
-    monkeypatch.setattr(spectra, "_block_count", lambda k: k)
+def test_non_grid_points_are_refused_before_any_work(monkeypatch):
+    # 20 classes of degree 16 in two blocks of 10: 161 nodes each, so a grid
+    # needs 162 points.  Refused before any power of the root or determinant:
+    # (2, 10**6), which spans far more than twice its length; a repeated
+    # point, which spans fewer integers than its 40 points; the 161-point
+    # grid; and no points.  One class of degree 3 mod 13 takes a grid
+    # spanning 12 integers but not one spanning 13.
     classes = det_classes(SumRep.rho11(G85))
     p = choose_prime(1360)
     root = root_of_unity(p, 1360)
-    for points in ((2, 10**6), (10**6, 2, 3), (7,) * 40):
-        assert evaluate_f_values(classes, 1360, p, root, points) == reference_f_values(classes, 1360, p, root, points)
+    sphere = (((1, 0),) * 3, 1),
+    for args in ((classes, 1360, p, root, select_points(p, 1360, 162)), (sphere, 1, 13, 1, range(2, 14))):
+        assert len(evaluate_f_values(*args)) == len(args[-1])
+    for name in ("_root_powers", "_class_field_data"):
+        monkeypatch.setattr(spectra, name, _refuse)
+    refused = [(classes, 1360, p, root, points) for points in ((2, 10**6), (7,) * 40, select_points(p, 1360, 161), ())]
+    for args in refused + [(sphere, 1, 13, 1, range(2, 15))]:
+        with pytest.raises(ParameterOutOfRange, match=f"^{len(args[-1])} points spanning"):
+            evaluate_f_values(*args)
 
 
 def test_search_and_fingerprint_grids_take_the_shifted_path(monkeypatch):
-    # A full grid that fell to one range per point would pay a Horner pass
-    # and a repack per point: the search at N = 1360 and a two-summand
-    # fingerprint walk only the blocks' node ranges.
+    # The search at N = 1360 and a two-summand fingerprint evaluate grids:
+    # each packed table walks only a block's nodes, fewer integers than the
+    # range its values are shifted to.
     from spaceform.search import _pairs_for_order
 
     counts, shifted = [], []
@@ -528,28 +564,33 @@ def test_search_and_fingerprint_grids_take_the_shifted_path(monkeypatch):
         counts.clear()
         shifted.clear()
         run()
-        assert shifted and counts and min(counts) > 1, (counts, shifted)
+        assert shifted and counts and max(counts) < min(shifted), (counts, shifted)
 
 
-def test_singular_point_raises():
+def test_singular_point_raises(monkeypatch):
+    # bad, the inverse of the eigenvalue zeta^5 of B, is a pole.  A grid that
+    # requests it raises, at a node of its block and past the nodes, and so
+    # does the one-point screen.
+    _one_class_per_block(monkeypatch)
     sr = SumRep.rho11(G54)
     p = choose_prime(20)
     root = root_of_unity(p, 20)
-    bad = pow(root, 20 - 5, p)  # inverse of the eigenvalue zeta^5 of B
-    with pytest.raises(SingularPoint):
-        evaluate_f_values(det_classes(sr), 20, p, root, (bad,))
-    # Past the degree 4 in points as well, and the one-point screen.
-    with pytest.raises(SingularPoint):
-        evaluate_f_values(det_classes(sr), 20, p, root, select_points(p, 20, 4) + (bad,))
+    bad = pow(root, 20 - 5, p)
+    for points in (range(bad - 1, bad + 7), range(bad - 7, bad + 1)):
+        assert [z for z in points if pow(z, 20, p) == 1] == [bad]
+        with pytest.raises(SingularPoint, match=f"z = {bad} "):
+            evaluate_f_values(det_classes(sr), 20, p, root, points)
     with pytest.raises(SingularPoint):
         _screen_value(sr, p, root, bad)
 
 
-def test_screen_value_matches_evaluator_and_reference(fpf_pool_2000):
+def test_screen_value_matches_evaluator_and_reference(fpf_pool_2000, monkeypatch):
     # The one-point screen, straight from the orbit walk with no classes,
     # against the class evaluator and the reference evaluator on the element
     # walk's classes: seeded pool groups, three-summand sums and every
-    # Table-1 group to 8000, at points below p and at or above it.
+    # Table-1 group to 8000, at two points of a D + 2 point grid (one class
+    # per block) and at two points of that grid shifted by p.
+    _one_class_per_block(monkeypatch)
     rng = random.Random(79)
     reps = [SumRep.rho11(g) for g in rng.sample(fpf_pool_2000, 60)]
     reps += _random_sum_reps(rng, fpf_pool_2000, 40)
@@ -560,11 +601,12 @@ def test_screen_value_matches_evaluator_and_reference(fpf_pool_2000):
         L = rep.group.order
         p = choose_prime(L)
         root = root_of_unity(p, L)
-        high = tuple(z for z in (p, p + 2, 2 * p + 3) if pow(z, L, p) != 1)
-        points = select_points(p, L, 2) + high
-        assert len(high) >= 2
+        grid = select_points(p, L, rep.degree + 2)
+        classes = det_classes(rep)
+        low, high = (evaluate_f_values(classes, L, p, root, tuple(z + j * p for z in grid)) for j in (0, 1))
+        points = (grid[0], grid[1], grid[0] + p, grid[2] + p)
         expected = reference_f_values(element_walk_det_classes(rep), L, p, root, points)
-        assert evaluate_f_values(det_classes(rep), L, p, root, points) == expected, rep
+        assert (low[0], low[1], high[0], high[2]) == expected, rep
         assert tuple(_screen_value(rep, p, root, z) for z in points) == expected, rep
 
 
