@@ -6,13 +6,13 @@ canonical one-line bytes with --json); diagnostics go to stderr; exit code 0
 iff status is ok.  Library errors and OSErrors (an --out path that cannot be
 a directory) become an error record with exit code 1, and so does an
 interrupt (Ctrl-C): a search's pool workers ignore SIGINT and are terminated
-by the parent, which writes no table.  Size refusals come
-from three limits: spectra.EVALUATION_LIMIT (group walks, F-value vectors,
-Molien series), factorint's trial-division bound, and
-groups.BRUTE_FORCE_LIMIT (orders --brute).  SPACEFORM_PRIME_SEED
-shifts the deterministic scan for the certificate prime (above 10^18) and
-thereby breaks byte-reproducibility between differently-seeded runs.  It
-leaves the one-point screen's own prime below 2^30 alone: equal F_G agree
+by the parent, which writes no table.  Size refusals come from three limits:
+spectra.EVALUATION_LIMIT (group walks, F-value vectors, Molien series),
+factorint's trial-division bound, and groups.BRUTE_FORCE_LIMIT (orders
+--brute).  SPACEFORM_PRIME_SEED shifts the deterministic scans for the
+certificate prime (above 10^18), breaking byte-reproducibility between
+differently-seeded runs, and for the Molien prime, which no output shows.
+It leaves the one-point screen's own prime below 2^30 alone: equal F_G agree
 mod every prime = 1 (mod |G|), so that prime never reaches an output.
 """
 

@@ -37,7 +37,8 @@ _MR_BASES_LARGE = _MR_BASES_SMALL + (
 
 
 def is_prime(n: int) -> bool:
-    """Miller-Rabin primality test, deterministic below ~3.3e24."""
+    """Miller-Rabin primality test, deterministic below ~3.3e24; above it,
+    True means a strong probable prime to the 40 prime bases 2 through 173."""
     if n < 2:
         return False
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):

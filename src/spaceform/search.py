@@ -22,6 +22,7 @@ Pipeline per order N:
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import multiprocessing
@@ -321,17 +322,23 @@ def run_search(cfg: SearchConfig) -> list[PairCertificate]:
 
 
 def write_results(path: str, certs: list[PairCertificate]) -> None:
-    """CSV table (Table-1 layout plus applicability flag) and one JSON per pair."""
+    """One JSON per pair, then the CSV table (Table-1 layout plus applicability
+    flag).  Each file is written to a .part name and renamed into place, so an
+    interrupted or failed write leaves whole certificates and no table."""
     os.makedirs(path, exist_ok=True)
-    with open(os.path.join(path, "pairs.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["N", "m", "n", "d", "r1", "r2", "theorem42"])
-        for c in certs:
-            writer.writerow([c.N, c.m, c.n, c.d, c.r1, c.r2, str(c.theorem42_applicable).lower()])
-    for c in certs:
-        name = f"pair_N{c.N}_m{c.m}_n{c.n}_d{c.d}_r{c.r1}-{c.r2}.json"
-        with open(os.path.join(path, name), "wb") as fh:
-            fh.write(c.canonical_bytes())
+    table = io.StringIO()
+    csv.writer(table).writerows([["N", "m", "n", "d", "r1", "r2", "theorem42"]] + [
+        [c.N, c.m, c.n, c.d, c.r1, c.r2, str(c.theorem42_applicable).lower()] for c in certs])
+    files = [(f"pair_N{c.N}_m{c.m}_n{c.n}_d{c.d}_r{c.r1}-{c.r2}.json", c.canonical_bytes()) for c in certs]
+    for name, data in files + [("pairs.csv", table.getvalue().encode())]:
+        part = os.path.join(path, name + ".part")
+        try:
+            with open(part, "wb") as fh:
+                fh.write(data)
+            os.replace(part, os.path.join(path, name))
+        finally:
+            if os.path.exists(part):
+                os.remove(part)
 
 
 def construct_theorem42_pairs(m_max: int, d_values=None) -> list[PairCertificate]:

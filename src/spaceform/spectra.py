@@ -533,14 +533,14 @@ def _shifted_fractions(blocks, D: int, p: int, lo: int, span: int) -> tuple[list
     lo >= 0 and |B|*D + 1 < span < p for every block of classes B.
 
     Per block B, Num_B and Den_B are polynomials of degree at most n = |B|*D.
-    Both are evaluated at the nodes lo, ..., lo + n only and shifted to every
-    t > n by Lagrange's formula over the nodes,
+    Both are evaluated at the nodes lo, ..., lo + n only, in one packed pass
+    (_packed_dets), and shifted to every t > n by Lagrange's formula,
         P(lo + t) = prod_{i<=n} (t - i) * sum_j g_j / (t - j),
         g_j = P(lo + j) * (-1)^(n-j) / (j! (n-j)!),
     whose sums over j for all t are one Kronecker-packed product of g with
     the 1/s, s < span.  The factor prod_i (t - i) is common to Num_B and
     Den_B and nonzero (t < p), so it is dropped.  Each block's fraction is
-    added into the running one at every point as soon as it is shifted.
+    added into the running one, which starts at 0/1, as soon as it is shifted.
     """
     n_max = max(map(len, blocks)) * D
     inv = [0, 1]  # 1/s mod p, from p = (p // s) * s + p % s
@@ -551,31 +551,21 @@ def _shifted_fractions(blocks, D: int, p: int, lo: int, span: int) -> tuple[list
         inv_fact.append(inv_fact[-1] * inv[s] % p)
     w = (2 * p.bit_length() + (n_max + 1).bit_length() + 7) // 8
     packed_inv = int.from_bytes(b"".join([x.to_bytes(w, "little") for x in inv]), "little")
-    nums = dens = None
+    nums, dens = [0] * span, [1] * span
     for block in blocks:
-        block_nums, block_dens = _block_fractions(block, D, p, lo, span, inv_fact, packed_inv, w)
-        if nums is None:
-            nums, dens = block_nums, block_dens
-        else:
-            nums = [(x * c + v * y) % p for x, y, v, c in zip(nums, dens, block_nums, block_dens)]
-            dens = [y * c % p for y, c in zip(dens, block_dens)]
+        n = len(block) * D
+        counts = [count for count, _ in block]
+        nodes = zip(*[_class_fraction(zip(counts, row), p) for row in _packed_dets(block, D, p, lo, n + 1)])
+        weights = [inv_fact[j] * inv_fact[n - j] % p for j in range(n + 1)]
+        weights[1 - n % 2::2] = [p - c for c in weights[1 - n % 2::2]]  # (-1)^(n-j): odd n - j
+        shifted = []
+        for values in nodes:
+            g = int.from_bytes(b"".join([(v * c % p).to_bytes(w, "little") for v, c in zip(values, weights)]), "little")
+            row = (g * packed_inv).to_bytes((n + span) * w, "little")
+            shifted.append([*values, *[int.from_bytes(row[i:i + w], "little") % p for i in range((n + 1) * w, span * w, w)]])
+        nums = [(x * c + v * y) % p for x, y, v, c in zip(nums, dens, *shifted)]
+        dens = [y * c % p for y, c in zip(dens, shifted[1])]
     return nums, dens
-
-
-def _block_fractions(block, D: int, p: int, lo: int, span: int, inv_fact, packed_inv: int, w: int):
-    """[Num_B], [Den_B] at lo + t for every t < span, for one block of
-    _shifted_fractions: the packed pass at the n + 1 nodes, then the shift."""
-    n = len(block) * D
-    counts = [count for count, _ in block]
-    nodes = zip(*[_class_fraction(zip(counts, row), p) for row in _packed_dets(block, D, p, lo, n + 1)])
-    weights = [inv_fact[j] * inv_fact[n - j] % p for j in range(n + 1)]
-    weights[1 - n % 2::2] = [p - c for c in weights[1 - n % 2::2]]  # (-1)^(n-j): odd n - j
-    out = []
-    for values in nodes:
-        g = int.from_bytes(b"".join([(v * c % p).to_bytes(w, "little") for v, c in zip(values, weights)]), "little")
-        row = (g * packed_inv).to_bytes((n + span) * w, "little")
-        out.append([*values, *[int.from_bytes(row[i:i + w], "little") % p for i in range((n + 1) * w, span * w, w)]])
-    return out
 
 
 def evaluate_f_values(classes, group_order: int, p: int, root: int, points) -> tuple[int, ...]:
@@ -719,8 +709,9 @@ def molien_coefficients(rep: SumRep, truncation: int = DEFAULT_MOLIEN_TRUNCATION
 
     The series is summed by element order (_molien_from_classes); the prime
     is chosen above dim H_K(S^q), which no dim H^G_{q,k} with k <= K exceeds
-    (it is non-decreasing in k for q >= 1), so the lift is unique.  Refused
-    above EVALUATION_LIMIT terms before the bound, the prime or any series work.
+    (it is non-decreasing in k for q >= 1), so the lift is unique.  Past 3.3e24
+    (7.15e33 at degree 16, K = 1500) p is only a strong probable prime (is_prime).
+    Refused above EVALUATION_LIMIT terms before the bound, the prime or any series work.
     """
     if truncation < 0:
         raise ParameterOutOfRange(f"truncation must be >= 0, got {truncation}")

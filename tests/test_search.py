@@ -36,6 +36,7 @@ from spaceform.search import (
     run_search,
     theorem42_applicable,
     theorem42_witness,
+    write_results,
 )
 from spaceform.spectra import Spectrum, SumRep, _evaluation_grid, _screen_grid, _screen_value, det_classes, \
     evaluate_f_values, choose_prime, root_of_unity, select_points
@@ -375,6 +376,29 @@ def test_run_search_deterministic_bytes(tmp_path):
     for name in os.listdir(out1):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
     assert sorted(os.listdir(out1)) == sorted(os.listdir(out2))
+
+
+def test_interrupted_write_leaves_whole_certificates_and_no_table(tmp_path, monkeypatch):
+    # Ctrl-C while the third of four certificates is renamed into place: the
+    # first two are whole, the third's temporary file is gone, and pairs.csv,
+    # written last, is not there to name certificates that are missing.
+    certs = run_search(SearchConfig(n_max=3600))
+    assert len(certs) == 4
+    replace, calls = os.replace, []
+
+    def interrupt_third(*args):
+        calls.append(args)
+        if len(calls) == 3:
+            raise KeyboardInterrupt
+        return replace(*args)
+
+    monkeypatch.setattr(os, "replace", interrupt_third)
+    with pytest.raises(KeyboardInterrupt):
+        write_results(str(tmp_path), certs)
+    names = [f"pair_N{c.N}_m{c.m}_n{c.n}_d{c.d}_r{c.r1}-{c.r2}.json" for c in certs[:2]]
+    assert sorted(os.listdir(tmp_path)) == sorted(names)
+    for name, c in zip(names, certs):
+        assert (tmp_path / name).read_bytes() == c.canonical_bytes()
 
 
 def test_certify_pair_search_consistency():

@@ -441,13 +441,13 @@ def test_f_values_match_reference_on_skipped_and_scattered_points(monkeypatch):
 def _spy_blocks(monkeypatch):
     # Record the class count of every block that the shifted path evaluates.
     sizes = []
-    block_fractions = spectra._block_fractions
+    packed_dets = spectra._packed_dets
 
-    def spy(block, *args):
-        sizes.append(len(block))
-        return block_fractions(block, *args)
+    def spy(class_data, *args):
+        sizes.append(len(class_data))
+        return packed_dets(class_data, *args)
 
-    monkeypatch.setattr(spectra, "_block_fractions", spy)
+    monkeypatch.setattr(spectra, "_packed_dets", spy)
     return sizes
 
 
@@ -743,6 +743,22 @@ def test_molien_refuses_over_budget(monkeypatch):
         monkeypatch.setattr(spectra, name, _refuse)
     with pytest.raises(SizeLimitExceeded, match="20 determinant classes x K = 100000 x degree 16 = 32000000"):
         molien_coefficients(SumRep.rho11(G85), truncation=100000)
+
+
+def test_molien_series_does_not_depend_on_its_prime(monkeypatch):
+    # SPACEFORM_PRIME_SEED moves the Molien prime; the lifted coefficients of
+    # the 1360 pair stay, at K = 200 and at K = 1500, whose prime is past the
+    # bound below which is_prime is deterministic.
+    from spaceform.numtheory import _MR_DETERMINISTIC_BOUND, harmonic_dim
+
+    assert harmonic_dim(15, 200) < _MR_DETERMINISTIC_BOUND < harmonic_dim(15, 1500)
+    for K in (200, 1500):
+        monkeypatch.delenv("SPACEFORM_PRIME_SEED", raising=False)
+        default_prime = choose_prime(1360, harmonic_dim(15, K))
+        series = [molien_coefficients(SumRep.rho11(g), K) for g in (G85, G85B)]
+        monkeypatch.setenv("SPACEFORM_PRIME_SEED", "7")
+        assert choose_prime(1360, harmonic_dim(15, K)) != default_prime
+        assert [molien_coefficients(SumRep.rho11(g), K) for g in (G85, G85B)] == series, K
 
 
 def _molien_thresholds(classes, L):

@@ -24,7 +24,8 @@ CHECKOUT/src (the base) and a run of --src (the change), RUNS times each
 (ABAB), so a drift of the host's speed hits both sides alike.  The row then
 holds each side's medians and digest under "base" and "change", and the
 median over the pairs of change/base wall and CPU seconds.  It is printed,
-and written only to an explicit --out.
+and written only to an explicit --out.  Then the script exits 1, naming the
+search, if the base and the change wrote different bytes for any search.
 """
 
 from __future__ import annotations
@@ -121,6 +122,10 @@ def main() -> None:
     out = args.out or (None if args.base else os.path.join(ROOT, "BENCH_search.json"))
     if out:
         write_row(out, row)
+    if args.base:
+        differ = [name for name, _, _ in SEARCHES if row[name]["base"]["digest"] != row[name]["change"]["digest"]]
+        if differ:
+            sys.exit(f"base and change wrote different bytes: {', '.join(differ)}")
 
 
 def write_row(out: str, row: dict) -> None:
