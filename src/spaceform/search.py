@@ -53,6 +53,7 @@ from .spectra import (
     SumRep,
     _certificate_grid,
     _fingerprint_record,
+    _full_vector,
     _screen_grid,
     _screen_value,
     almost_conjugate,
@@ -285,7 +286,7 @@ def _certify_bucket(reps: list[SumRep], N: int) -> list[PairCertificate]:
     buckets: dict[tuple, list[TypeIParams]] = {}
     for g, s in spectra.items():
         if s.classes not in values:
-            values[s.classes] = evaluate_f_values(s.classes, N, *grid)
+            values[s.classes] = _full_vector(s.classes, N, grid, evaluate_f_values)
         buckets.setdefault(values[s.classes], []).append(g)
     pairs = (_ordered_pair(a, b) for mates in buckets.values() for a, b in combinations(mates, 2))
     return [_certify(spectra[g1], spectra[g2], grid, values[spectra[g1].classes]) for g1, g2 in pairs]
@@ -324,7 +325,9 @@ def run_search(cfg: SearchConfig) -> list[PairCertificate]:
 def write_results(path: str, certs: list[PairCertificate]) -> None:
     """One JSON per pair, then the CSV table (Table-1 layout plus applicability
     flag).  Each file is written to a .part name and renamed into place, so an
-    interrupted or failed write leaves whole certificates and no table."""
+    interrupted or failed write leaves whole certificates and no table.  Then
+    the pair_N*.json certificates that this run did not write are removed, so
+    the directory holds the pairs that pairs.csv names; no other file is."""
     os.makedirs(path, exist_ok=True)
     table = io.StringIO()
     csv.writer(table).writerows([["N", "m", "n", "d", "r1", "r2", "theorem42"]] + [
@@ -339,6 +342,10 @@ def write_results(path: str, certs: list[PairCertificate]) -> None:
         finally:
             if os.path.exists(part):
                 os.remove(part)
+    written = {name for name, _ in files}
+    for name in os.listdir(path):
+        if name.startswith("pair_N") and name.endswith(".json") and name not in written:
+            os.remove(os.path.join(path, name))
 
 
 def construct_theorem42_pairs(m_max: int, d_values=None) -> list[PairCertificate]:

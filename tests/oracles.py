@@ -241,6 +241,17 @@ def reference_f_values(classes, group_order: int, p: int, root: int, points) -> 
     return _evaluate_sum(_class_field_data(classes, p, root), group_order, p, points)
 
 
+def pow_select_points(p: int, L: int, count: int) -> tuple[int, ...]:
+    """The first count integers z >= 2 with z^L != 1 mod p, by one pow per z."""
+    points = []
+    z = 2
+    while len(points) < count:
+        if pow(z, L, p) != 1:
+            points.append(z)
+        z += 1
+    return tuple(points)
+
+
 
 # --- reference Molien series -----------------------------------------------
 

@@ -115,6 +115,16 @@ def test_kmolien_walks_each_group_once(argv, walks, monkeypatch, capsys):
     assert len(calls) == walks == len(set(calls))
 
 
+def test_certify_pair_kmolien_computes_one_series(monkeypatch, capsys):
+    # The pair shares its class multiset, so its two Molien series are one.
+    calls = []
+    series = spectra._molien_from_classes
+    monkeypatch.setattr(spectra, "_molien_from_classes", lambda *args: calls.append(args) or series(*args))
+    assert spaceform.cli.main(["certify-pair", "85", "16", "2", "42", "--kmolien", "8", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "ok"
+    assert len(calls) == 1
+
+
 def test_fingerprint_and_certify_pair_refuse_oversized_group():
     # The spectrum with the most F-value terms in Table 1 (N = 29648) is admitted.
     spectrum = Spectrum.of(SumRep.rho11(validate_type1(1853, 16, 76)))

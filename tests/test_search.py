@@ -401,6 +401,21 @@ def test_interrupted_write_leaves_whole_certificates_and_no_table(tmp_path, monk
         assert (tmp_path / name).read_bytes() == c.canonical_bytes()
 
 
+def test_rerun_into_one_out_directory_keeps_only_its_certificates(tmp_path):
+    # search --nmax 3600 and then --nmax 1360 into one directory: the second
+    # run removes the three certificates that its pairs.csv does not name,
+    # and no file that is not a certificate.
+    out = str(tmp_path)
+    (tmp_path / "notes.txt").write_text("kept")
+    (tmp_path / "pair_N1_m1_n1_d1_r1-1.json.part").write_text("kept")
+    assert len(run_search(SearchConfig(n_max=3600, output_path=out))) == 4
+    [cert] = run_search(SearchConfig(n_max=1360, output_path=out))
+    name = "pair_N1360_m85_n16_d8_r2-42.json"
+    assert sorted(os.listdir(tmp_path)) == sorted([name, "pairs.csv", "notes.txt", "pair_N1_m1_n1_d1_r1-1.json.part"])
+    assert (tmp_path / name).read_bytes() == cert.canonical_bytes()
+    assert (tmp_path / "pairs.csv").read_text().splitlines()[1:] == ["1360,85,16,8,2,42,true"]
+
+
 def test_certify_pair_search_consistency():
     # The search certifies from its bucket's F-values; direct certification
     # recomputes them.  Both give the same bytes for every Table-1 pair.
@@ -456,6 +471,28 @@ def test_certify_pair_evaluates_each_class_multiset_once(monkeypatch):
         outcome = _certify_outcome(certify_pair, validate_type1(m, n, r1), validate_type1(m, n, r2))
         assert outcome == ("fingerprint", "value vectors differ")
         assert len(screens) == 2 and lengths == []
+
+
+def test_fingerprint_after_certify_pair_reuses_its_vector(monkeypatch):
+    # The pair's vector, keyed by its class multiset, order, prime and point
+    # count, serves the fingerprint of either member.
+    from spaceform import search
+
+    lengths = []
+
+    def count_evaluations(classes, N, p, root, points):
+        lengths.append(len(points))
+        return evaluate_f_values(classes, N, p, root, points)
+
+    monkeypatch.setattr(search, "evaluate_f_values", count_evaluations)
+    monkeypatch.setattr(spectra, "evaluate_f_values", count_evaluations)
+    g2, g42 = validate_type1(85, 16, 2), validate_type1(85, 16, 42)
+    certify_pair(g2, g42)
+    record = spectra.fingerprint(SumRep.rho11(g2))
+    assert len(lengths) == 1
+    spectra._F_VALUE_MEMO.clear()
+    assert spectra.fingerprint(SumRep.rho11(g2)).canonical_bytes() == record.canonical_bytes()
+    assert len(lengths) == 2
 
 
 def test_certify_pair_matches_full_vector_rule(fpf_pool_2000, monkeypatch):

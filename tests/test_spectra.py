@@ -47,6 +47,7 @@ from oracles import (
     is_conjugation_closed,
     poly_from_exponents,
     reference_f_values,
+    pow_select_points,
     reference_molien_from_classes,
     rescaled,
 )
@@ -671,6 +672,77 @@ def test_fingerprint_refuses_over_budget_before_the_grid(monkeypatch):
 def test_shared_fingerprints_requires_equal_order():
     with pytest.raises(GroupMismatch):
         shared_fingerprints([SumRep.rho11(G85), SumRep.rho11(G54)])
+
+
+def test_select_points_matches_pow_per_point():
+    # Every Table-1 order to 5840 at its certificate prime and its pair's
+    # point count, and p = 41, L = 20, where half of all z are skipped.
+    for N, m, n, d, r1, r2 in TABLE1_ROWS:
+        if N <= 5840:
+            p, count = choose_prime(N), Spectrum.of(SumRep.rho11(validate_type1(m, n, r1))).point_count
+            assert select_points(p, N, count) == pow_select_points(p, N, count), N
+    for count in (0, 1, 2, 16, 20, 30, 100):
+        assert select_points(41, 20, count) == pow_select_points(41, 20, count), count
+
+
+# --- memo of F-value vectors and Molien series ------------------------------
+
+def _counting(monkeypatch, name):
+    """Wrap spectra.<name> so that each call is appended to the returned list."""
+    calls, inner = [], getattr(spectra, name)
+    monkeypatch.setattr(spectra, name, lambda *args: calls.append(args) or inner(*args))
+    return calls
+
+
+def test_memo_recomputes_the_oldest_past_its_bound(fpf_pool_2000, monkeypatch):
+    # bound + 1 distinct class multisets: the first vector and series are
+    # dropped and computed again, and neither memo ever holds more than the bound.
+    vectors, series = _counting(monkeypatch, "evaluate_f_values"), _counting(monkeypatch, "_molien_from_classes")
+    reps, seen = [], set()
+    for g in fpf_pool_2000:
+        rep = SumRep.rho11(g)
+        if (g.order, Spectrum.of(rep).classes) not in seen:
+            seen.add((g.order, Spectrum.of(rep).classes))
+            reps.append(rep)
+        if len(reps) == spectra._MEMO_SIZE + 1:
+            break
+    records = []
+    for rep in reps:
+        records.append((fingerprint(rep), molien_coefficients(rep, 10)))
+        assert len(spectra._F_VALUE_MEMO) <= spectra._MEMO_SIZE >= len(spectra._MOLIEN_MEMO)
+    assert len(vectors) == len(series) == len(reps)
+    assert (fingerprint(reps[-1]), molien_coefficients(reps[-1], 10)) == records[-1]
+    assert len(vectors) == len(series) == len(reps)
+    assert (fingerprint(reps[0]), molien_coefficients(reps[0], 10)) == records[0]
+    assert len(vectors) == len(series) == len(reps) + 1
+
+
+def test_memo_follows_the_prime_seed(monkeypatch):
+    # A run under SPACEFORM_PRIME_SEED after a default one is keyed by its
+    # own prime: it gives that prime's record, equal to a fresh computation.
+    monkeypatch.delenv("SPACEFORM_PRIME_SEED", raising=False)
+    rep = SumRep.rho11(G85)
+    default = (fingerprint(rep), molien_coefficients(rep, 40))
+    monkeypatch.setenv("SPACEFORM_PRIME_SEED", "1")
+    seeded = (fingerprint(rep), molien_coefficients(rep, 40))
+    assert seeded[0].p != default[0].p and seeded[0].values != default[0].values
+    spectra._F_VALUE_MEMO.clear()
+    spectra._MOLIEN_MEMO.clear()
+    assert (fingerprint(rep), molien_coefficients(rep, 40)) == seeded
+
+
+def test_memo_hit_skips_no_refusal(monkeypatch):
+    # The budget and the truncation check run before the memo is read.
+    rep = SumRep.rho11(G85)
+    fingerprint(rep)
+    molien_coefficients(rep, 60)
+    with pytest.raises(ParameterOutOfRange):
+        molien_coefficients(rep, -1)
+    monkeypatch.setattr(spectra, "EVALUATION_LIMIT", 100)
+    with pytest.raises(SizeLimitExceeded, match="F-value terms"):
+        fingerprint(rep)
+    with pytest.raises(SizeLimitExceeded, match="Molien terms"):
+        molien_coefficients(rep, 60)
 
 
 def test_choose_prime_follows_seed_set_after_first_call(monkeypatch):
