@@ -237,15 +237,9 @@ def isometric_irreducible(r1: RepParams, r2: RepParams) -> bool:
     return False
 
 
-def natural_bijection(g1: TypeIParams, g2: TypeIParams):
-    """A_1^a B_1^b -> A_2^a B_2^b for groups sharing (m, n)."""
-    if (g1.m, g1.n) != (g2.m, g2.n):
-        raise GroupMismatch("natural bijection needs equal (m, n)")
-    return lambda x: GroupElement(g2, x.a, x.b)
-
-
-def almost_conjugate(rep1: SumRep, rep2: SumRep, bijection=None) -> bool:
-    """True iff eigenvalue multisets agree element-by-element under the bijection.
+def almost_conjugate(rep1: SumRep, rep2: SumRep) -> bool:
+    """True iff eigenvalue multisets agree element-by-element under the
+    natural bijection A_1^a B_1^b -> A_2^a B_2^b.
 
     This is the almost-conjugacy test; success implies strong isospectrality
     of the two space forms.
@@ -256,29 +250,20 @@ def almost_conjugate(rep1: SumRep, rep2: SumRep, bijection=None) -> bool:
     if rep1.degree != rep2.degree:
         raise DegreeMismatch(f"degrees {rep1.degree} != {rep2.degree}")
     _check_walk(g1)
-    L = g1.order
-    if bijection is None:
-        natural_bijection(g1, g2)  # GroupMismatch unless (m, n) agree
-        pairs = _joint_orbit_factors(rep1, rep2, L)
-    else:
-        pairs = ((sum_rep_det_factors(rep1, x), sum_rep_det_factors(rep2, bijection(x)))
-                 for x in g1.elements())
-    return all(f1 == f2 or _factors_to_exponents(f1, L) == _factors_to_exponents(f2, L)
-               for f1, f2 in pairs)
-
-
-def _joint_orbit_factors(rep1: SumRep, rep2: SumRep, L: int):
-    """(factors under rep1, factors under rep2) of A^a B^b for one a per
-    joint value of (a*alpha1(b), a*alpha2(b)) mod m: that pair repeats in a
-    with period lcm(m/gcd(alpha1(b), m), m/gcd(alpha2(b), m))."""
-    g1, g2 = rep1.group, rep2.group
-    m = g1.m
+    if (g1.m, g1.n) != (g2.m, g2.n):
+        raise GroupMismatch("natural bijection needs equal (m, n)")
+    m, L = g1.m, g1.order
     for b in range(g1.n):
         alpha1, alpha2 = _alpha(g1, b), _alpha(g2, b)
         (e1, terms1), (e2, terms2) = _factor_row(rep1, b, L), _factor_row(rep2, b, L)
+        # One a per joint value of (a*alpha1(b), a*alpha2(b)) mod m: that pair
+        # repeats in a with period lcm(m/gcd(alpha1(b), m), m/gcd(alpha2(b), m)).
         for a in range(math.lcm(m // math.gcd(alpha1, m), m // math.gcd(alpha2, m))):
-            yield (tuple((e1, M) for M in _row_ms(terms1, a * alpha1 % m, m, L)),
-                   tuple((e2, M) for M in _row_ms(terms2, a * alpha2 % m, m, L)))
+            f1 = tuple((e1, M) for M in _row_ms(terms1, a * alpha1 % m, m, L))
+            f2 = tuple((e2, M) for M in _row_ms(terms2, a * alpha2 % m, m, L))
+            if f1 != f2 and _factors_to_exponents(f1, L) != _factors_to_exponents(f2, L):
+                return False
+    return True
 
 
 # ----------------------------------------------------------------------

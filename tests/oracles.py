@@ -6,7 +6,8 @@ library against.  Nothing in src/ imports this module.
   exponent formulas in spectra.py.
 - alpha by its definition: the sum of d/gcd(d, c) powers of r^gcd(d, c),
   one product at a time.
-- The element walk: determinant classes from every one of the m*n elements.
+- The element walks: determinant classes from every one of the m*n
+  elements, and almost-conjugacy under any bijection, one element at a time.
 - The reference F-evaluator: each class determinant expanded with one pow()
   per factor, then evaluated point by point by Horner with a reduction mod p
   at every step.
@@ -33,7 +34,8 @@ from spaceform.errors import BadPrime, CertificationFailed, GroupMismatch, Singu
 from spaceform.groups import canonical_r, is_canonical, is_isomorphic, r_generators, validate_type1
 from spaceform.numtheory import carmichael, divisors, multiplicative_order, prime_factors, torsion_elements
 from spaceform.search import _certify, _ordered_pair, certify_pair
-from spaceform.spectra import EigenExponentMultiset, Spectrum, SumRep, _evaluation_grid, evaluate_f_values, root_of_unity
+from spaceform.spectra import (EigenExponentMultiset, Spectrum, SumRep, _evaluation_grid, char_poly_exponents,
+                               evaluate_f_values, root_of_unity)
 
 
 # --- exponent multisets ---------------------------------------------------
@@ -185,6 +187,19 @@ def element_walk_det_classes(rep):
             key = tuple(sorted(factors))
             counts[key] = counts.get(key, 0) + 1
     return tuple(sorted(counts.items()))
+
+
+def element_exponents(rep, x):
+    """The eigenvalue exponents of rep(x): the union of char_poly_exponents
+    over the summands."""
+    return sorted(t for s in rep.summands for t in char_poly_exponents(s, x).exponents)
+
+
+def element_walk_almost_conjugate(rep1, rep2, bijection):
+    """True iff every element x of rep1's group has the eigenvalue exponents
+    under rep1 that bijection(x) has under rep2."""
+    return all(element_exponents(rep1, x) == element_exponents(rep2, bijection(x))
+               for x in rep1.group.elements())
 
 
 # --- reference F-evaluator -------------------------------------------------

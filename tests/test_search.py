@@ -9,6 +9,7 @@ import pytest
 
 from spaceform.errors import (
     CertificationFailed,
+    GroupMismatch,
     InvalidRepresentation,
     NotFixedPointFree,
     ParameterOutOfRange,
@@ -546,6 +547,9 @@ def test_certify_pair_refutations():
     with pytest.raises(CertificationFailed) as exc:
         certify_pair(g2, validate_type1(85, 16, 84))
     assert exc.value.check == "parameters"
+    # Same order 1360, but the natural bijection needs one (m, n).
+    with pytest.raises(GroupMismatch, match=r"pair must share \(m, n\): \(85, 16\) vs \(1, 1360\)"):
+        certify_pair(validate_type1(85, 16, 2), validate_type1(1, 1360, 0))
 
 
 def _refuse(*args):

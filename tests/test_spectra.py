@@ -31,7 +31,6 @@ from spaceform.spectra import (
     fingerprint,
     isometric_irreducible,
     molien_coefficients,
-    natural_bijection,
     reps_equivalent,
     root_of_unity,
     select_points,
@@ -43,6 +42,8 @@ from oracles import (
     alpha_by_definition,
     char_poly_matrix_oracle,
     contains_zero,
+    element_exponents,
+    element_walk_almost_conjugate,
     element_walk_det_classes,
     is_conjugation_closed,
     poly_from_exponents,
@@ -246,9 +247,15 @@ def test_isometric_irreducible_symmetric():
 
 # --- almost conjugacy ---------------------------------------------------
 
+def _natural(g2):
+    """A_1^a B_1^b -> A_2^a B_2^b."""
+    return lambda x: g2.element(x.a, x.b)
+
+
 def test_almost_conjugate_reflexive():
     sr = SumRep.rho11(G54)
-    assert almost_conjugate(sr, sr, bijection=lambda x: x)
+    assert almost_conjugate(sr, sr)
+    assert element_walk_almost_conjugate(sr, sr, lambda x: x)
 
 
 def test_almost_conjugate_table_pair():
@@ -256,18 +263,24 @@ def test_almost_conjugate_table_pair():
 
 
 def test_almost_conjugate_fails_for_lens_comparator():
+    # Same order and degree as rho_11 of G85, but (1, 1360) is not (85, 16):
+    # almost_conjugate refuses the pair; under an explicit element table the
+    # eigenvalues differ.
     lens = validate_type1(1, 1360, 0)
     sum8 = SumRep.from_pairs(lens, [(1, 1)] * 8)
-    elems2 = list(lens.elements())
-    elems1 = list(G85.elements())
-    table = dict(zip(elems1, elems2))
-    assert not almost_conjugate(SumRep.rho11(G85), sum8, bijection=table.__getitem__)
+    with pytest.raises(GroupMismatch, match=r"natural bijection needs equal \(m, n\)"):
+        almost_conjugate(SumRep.rho11(G85), sum8)
+    table = dict(zip(G85.elements(), lens.elements()))
+    assert not element_walk_almost_conjugate(SumRep.rho11(G85), sum8, table.__getitem__)
 
 
 def test_almost_conjugate_degree_mismatch():
     lens = validate_type1(1, 1360, 0)
     with pytest.raises(DegreeMismatch):
         almost_conjugate(SumRep.rho11(G85), SumRep.from_pairs(lens, [(1, 1)] * 7))
+    # The order is checked before the degree, which differs here too.
+    with pytest.raises(GroupMismatch, match=r"\|G1\| = 1360 != \|G2\| = 20"):
+        almost_conjugate(SumRep.rho11(G85), SumRep.rho11(G54))
 
 
 def test_almost_conjugate_general_sums_for_theorem_pair():
@@ -275,13 +288,13 @@ def test_almost_conjugate_general_sums_for_theorem_pair():
     sr1 = SumRep.from_pairs(G85, pairs)
     sr2 = SumRep.from_pairs(G85B, pairs)
     assert almost_conjugate(sr1, sr2)
-    assert almost_conjugate(sr1, sr2, bijection=natural_bijection(G85, G85B))
+    assert element_walk_almost_conjugate(sr1, sr2, _natural(G85B))
 
 
 def test_almost_conjugate_orbit_walk_matches_element_walk():
-    # The natural bijection walks one a per joint (a*alpha1(b), a*alpha2(b))
-    # orbit; an explicit bijection walks every element.  Both agree on the
-    # Table-1 pairs up to 3600 and on same-(m, n, d) non-isospectral groups.
+    # almost_conjugate walks one a per joint (a*alpha1(b), a*alpha2(b))
+    # orbit; the oracle walks every element.  Both agree on the Table-1
+    # pairs up to 3600 and on same-(m, n, d) non-isospectral groups.
     cases = [(validate_type1(m, n, r1), validate_type1(m, n, r2), True)
              for N, m, n, d, r1, r2 in TABLE1_ROWS if N <= 3600]
     cases += [(G85, validate_type1(85, 16, 9), False), (G85B, validate_type1(85, 16, 9), False),
@@ -289,7 +302,24 @@ def test_almost_conjugate_orbit_walk_matches_element_walk():
     for g1, g2, expected in cases:
         rep1, rep2 = SumRep.rho11(g1), SumRep.rho11(g2)
         assert almost_conjugate(rep1, rep2) is expected
-        assert almost_conjugate(rep1, rep2, bijection=natural_bijection(g1, g2)) is expected
+        assert element_walk_almost_conjugate(rep1, rep2, _natural(g2)) is expected
+
+
+def test_almost_conjugate_across_d_compares_eigenvalues():
+    # Two copies of rho_11 over a d = 2 group against rho_11 over a d = 4
+    # group with the same (m, n): on some elements the factor lists differ
+    # (cycle lengths 2 against 4) while the eigenvalues agree, so the walk
+    # must compare eigenvalues, not factor lists.  Elsewhere the eigenvalues
+    # differ, and both walks say so.
+    for m, n, r1, r2, agreeing in ((5, 8, 4, 2, 22), (13, 8, 12, 5, 54)):
+        g1, g2 = validate_type1(m, n, r1), validate_type1(m, n, r2)
+        assert (g1.d, g2.d) == (2, 4)
+        rep1, rep2 = SumRep.from_pairs(g1, [(1, 1)] * 2), SumRep.rho11(g2)
+        nat = _natural(g2)
+        assert agreeing == sum(sum_rep_det_factors(rep1, x) != sum_rep_det_factors(rep2, nat(x))
+                               and element_exponents(rep1, x) == element_exponents(rep2, nat(x))
+                               for x in g1.elements())
+        assert almost_conjugate(rep1, rep2) is element_walk_almost_conjugate(rep1, rep2, nat) is False
 
 
 # --- fingerprints -------------------------------------------------------
@@ -769,7 +799,7 @@ def test_unwalkable_group_is_refused_before_any_walk(monkeypatch):
         monkeypatch.setattr(spectra, name, _refuse)
     rep = SumRep.rho11(G_UNWALKABLE)
     for call in (lambda: Spectrum.of(rep), lambda: fingerprint(rep), lambda: molien_coefficients(rep, 10),
-                 lambda: almost_conjugate(rep, rep), lambda: almost_conjugate(rep, rep, lambda x: x)):
+                 lambda: almost_conjugate(rep, rep)):
         with pytest.raises(SizeLimitExceeded, match=r"\|G\| = 1000000007 x 16 = 16000000112 group elements"):
             call()
 
