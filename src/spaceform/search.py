@@ -271,8 +271,8 @@ def _certify_bucket(reps: list[SumRep], N: int) -> list[PairCertificate]:
     Only reps that share a screen value get a Spectrum and the full vector,
     on the certificate grid (prime above 10^18) that spectra checks against
     the budget and builds only then (_certificate_grid); a chance collision
-    at either prime only costs a full vector.  Each distinct class multiset
-    is evaluated once.
+    at either prime only costs a full vector.  Spectra's memo (_full_vector)
+    evaluates each distinct class multiset once.
     """
     q, q_root, (z,) = _screen_grid(N)
     screened: dict[int, list[SumRep]] = {}
@@ -282,14 +282,11 @@ def _certify_bucket(reps: list[SumRep], N: int) -> list[PairCertificate]:
     if not spectra:
         return []
     grid = _certificate_grid(list(spectra.values()))
-    values: dict[tuple, tuple[int, ...]] = {}
     buckets: dict[tuple, list[TypeIParams]] = {}
     for g, s in spectra.items():
-        if s.classes not in values:
-            values[s.classes] = _full_vector(s.classes, N, grid, evaluate_f_values)
-        buckets.setdefault(values[s.classes], []).append(g)
-    pairs = (_ordered_pair(a, b) for mates in buckets.values() for a, b in combinations(mates, 2))
-    return [_certify(spectra[g1], spectra[g2], grid, values[spectra[g1].classes]) for g1, g2 in pairs]
+        buckets.setdefault(_full_vector(s.classes, N, grid, evaluate_f_values), []).append(g)
+    pairs = ((values, _ordered_pair(a, b)) for values, mates in buckets.items() for a, b in combinations(mates, 2))
+    return [_certify(spectra[g1], spectra[g2], grid, values) for values, (g1, g2) in pairs]
 
 
 def _pairs_for_order(N: int) -> list[PairCertificate]:

@@ -239,11 +239,13 @@ def isometric_irreducible(r1: RepParams, r2: RepParams) -> bool:
 
 def almost_conjugate(rep1: SumRep, rep2: SumRep) -> bool:
     """True iff eigenvalue multisets agree element-by-element under the
-    natural bijection A_1^a B_1^b -> A_2^a B_2^b.
-
-    This is the almost-conjugacy test; success implies strong isospectrality
-    of the two space forms.
-    """
+    natural bijection A_1^a B_1^b -> A_2^a B_2^b (almost conjugacy, which
+    implies strong isospectrality).  Never for d1 != d2: every rho_{k,l} is
+    faithful and ord(A B^b) = n/gcd(n, b) * m/gcd(alpha(b), m) differs at
+    b = min(d1, d2), where the smaller d has alpha(b) = r^d = 1 and the other
+    (r^cc - 1) * alpha(b) = 0 mod m with r^cc != 1, cc = gcd(d1, d2).  With
+    equal d both sides share e = d/gcd(b, d), and a factor (e, M) is the
+    exponent coset M/e + (L/e)Z: equal eigenvalues are equal sorted M."""
     g1, g2 = rep1.group, rep2.group
     if g1.order != g2.order:
         raise GroupMismatch(f"|G1| = {g1.order} != |G2| = {g2.order}")
@@ -252,16 +254,16 @@ def almost_conjugate(rep1: SumRep, rep2: SumRep) -> bool:
     _check_walk(g1)
     if (g1.m, g1.n) != (g2.m, g2.n):
         raise GroupMismatch("natural bijection needs equal (m, n)")
+    if g1.d != g2.d:  # element orders differ at b = min(d1, d2)
+        return False
     m, L = g1.m, g1.order
     for b in range(g1.n):
         alpha1, alpha2 = _alpha(g1, b), _alpha(g2, b)
-        (e1, terms1), (e2, terms2) = _factor_row(rep1, b, L), _factor_row(rep2, b, L)
-        # One a per joint value of (a*alpha1(b), a*alpha2(b)) mod m: that pair
-        # repeats in a with period lcm(m/gcd(alpha1(b), m), m/gcd(alpha2(b), m)).
-        for a in range(math.lcm(m // math.gcd(alpha1, m), m // math.gcd(alpha2, m))):
-            f1 = tuple((e1, M) for M in _row_ms(terms1, a * alpha1 % m, m, L))
-            f2 = tuple((e2, M) for M in _row_ms(terms2, a * alpha2 % m, m, L))
-            if f1 != f2 and _factors_to_exponents(f1, L) != _factors_to_exponents(f2, L):
+        terms1, terms2 = _factor_row(rep1, b, L)[1], _factor_row(rep2, b, L)[1]
+        # One a per joint value of (a*alpha1(b), a*alpha2(b)) mod m: with h_i =
+        # gcd(alpha_i(b), m) its period in a is lcm(m/h1, m/h2) = m/gcd(h1, h2).
+        for a in range(m // math.gcd(alpha1, alpha2, m)):
+            if _row_ms(terms1, a * alpha1 % m, m, L) != _row_ms(terms2, a * alpha2 % m, m, L):
                 return False
     return True
 
@@ -659,9 +661,9 @@ class SpectrumFingerprint:
 # last _MEMO_SIZE of each are kept, the oldest dropped first.  It must be at
 # least 5: perfbench's pair queries make 4 other vectors between certify_pair
 # on the 1360 pair and the certify-pair command on it.  A 29648 vector (9797
-# points) holds about 0.4 MB.  A search never hits the memo (no two orders
-# share a key) and keeps at most _MEMO_SIZE vectors per worker.  The kernels
-# (evaluate_f_values, _molien_from_classes) stay uncached.
+# points) holds about 0.4 MB.  A search hits it only within a bucket (no two
+# orders share a key) and keeps at most _MEMO_SIZE vectors per worker.  The
+# kernels (evaluate_f_values, _molien_from_classes) stay uncached.
 _MEMO_SIZE = 8
 _F_VALUE_MEMO: dict = {}
 _MOLIEN_MEMO: dict = {}

@@ -13,7 +13,7 @@ from spaceform.errors import (
     SizeLimitExceeded,
 )
 from spaceform import spectra
-from spaceform.groups import is_fixed_point_free, validate_type1
+from spaceform.groups import element_order, is_fixed_point_free, validate_type1
 from spaceform.numtheory import is_prime, prime_factors
 from spaceform.spectra import (
     RepParams,
@@ -294,23 +294,29 @@ def test_almost_conjugate_general_sums_for_theorem_pair():
 def test_almost_conjugate_orbit_walk_matches_element_walk():
     # almost_conjugate walks one a per joint (a*alpha1(b), a*alpha2(b))
     # orbit; the oracle walks every element.  Both agree on the Table-1
-    # pairs up to 3600 and on same-(m, n, d) non-isospectral groups.
+    # pairs up to 3600 and on same-(m, n, d) non-isospectral groups.  The
+    # groups (35, 12, 3) and (35, 12, 2), not fixed point free, pin the joint
+    # period: at b = 3 and 9 alpha(b) = 0 for r = 3 and gcd(alpha(b), 35) = 5
+    # for r = 2, so r = 3's period alone walks only a = 0, where they agree.
     cases = [(validate_type1(m, n, r1), validate_type1(m, n, r2), True)
              for N, m, n, d, r1, r2 in TABLE1_ROWS if N <= 3600]
     cases += [(G85, validate_type1(85, 16, 9), False), (G85B, validate_type1(85, 16, 9), False),
-              (validate_type1(221, 16, 8), validate_type1(221, 16, 25), False)]
+              (validate_type1(221, 16, 8), validate_type1(221, 16, 25), False),
+              (validate_type1(35, 12, 3), validate_type1(35, 12, 2), False),
+              (validate_type1(35, 12, 2), validate_type1(35, 12, 3), False)]
     for g1, g2, expected in cases:
         rep1, rep2 = SumRep.rho11(g1), SumRep.rho11(g2)
         assert almost_conjugate(rep1, rep2) is expected
         assert element_walk_almost_conjugate(rep1, rep2, _natural(g2)) is expected
 
 
-def test_almost_conjugate_across_d_compares_eigenvalues():
+def test_almost_conjugate_across_d_compares_eigenvalues(valid_pool_2000):
     # Two copies of rho_11 over a d = 2 group against rho_11 over a d = 4
     # group with the same (m, n): on some elements the factor lists differ
-    # (cycle lengths 2 against 4) while the eigenvalues agree, so the walk
-    # must compare eigenvalues, not factor lists.  Elsewhere the eigenvalues
-    # differ, and both walks say so.
+    # (cycle lengths 2 against 4) while the eigenvalues agree.  Elsewhere the
+    # eigenvalues differ: almost_conjugate returns False for any two d before
+    # it walks (A B^b has different orders at b = min(d1, d2)), and the
+    # element walk, which compares eigenvalues, agrees.
     for m, n, r1, r2, agreeing in ((5, 8, 4, 2, 22), (13, 8, 12, 5, 54)):
         g1, g2 = validate_type1(m, n, r1), validate_type1(m, n, r2)
         assert (g1.d, g2.d) == (2, 4)
@@ -320,6 +326,30 @@ def test_almost_conjugate_across_d_compares_eigenvalues():
                                and element_exponents(rep1, x) == element_exponents(rep2, nat(x))
                                for x in g1.elements())
         assert almost_conjugate(rep1, rep2) is element_walk_almost_conjugate(rep1, rep2, nat) is False
+    # Every same-(m, n) pair with d1 < d2 and m*n <= 400: lcm/d1 copies of
+    # rho_11 against lcm/d2 copies (d2/d1 against one when d1 | d2).
+    by_split = {}
+    for g in valid_pool_2000:
+        if g.order <= 400:
+            by_split.setdefault((g.m, g.n), []).append(g)
+    pairs = [(g1, g2) for groups in by_split.values() for g1 in groups for g2 in groups if g1.d < g2.d]
+    assert len(pairs) == 706
+    for g1, g2 in pairs:
+        lcm = math.lcm(g1.d, g2.d)
+        rep1 = SumRep.from_pairs(g1, [(1, 1)] * (lcm // g1.d))
+        rep2 = SumRep.from_pairs(g2, [(1, 1)] * (lcm // g2.d))
+        assert almost_conjugate(rep1, rep2) is element_walk_almost_conjugate(rep1, rep2, _natural(g2)) is False
+
+
+def test_element_order_follows_alpha(valid_pool_2000):
+    # ord(A B^b) = n/gcd(n, b) * m/gcd(alpha(b), m): the lemma behind
+    # almost_conjugate's answer for different d.  Cyclic groups (m = 1,
+    # alpha = 0) are left out: there the formula is element_order's own.
+    for g in valid_pool_2000:
+        if g.m > 1:
+            for b in range(g.n):
+                expected = g.n // math.gcd(g.n, b) * (g.m // math.gcd(alpha_by_definition(g, b), g.m))
+                assert element_order(g.element(1, b)) == expected, (g, b)
 
 
 # --- fingerprints -------------------------------------------------------

@@ -3,27 +3,30 @@
     python3 tools/bench_search.py --label <name> [--src DIR] [--out FILE]
     python3 tools/bench_search.py --label <name> --base CHECKOUT [--src DIR] [--out FILE]
 
-Runs `python -m spaceform search --nmax 8000 --jobs 1 --out ...` and
-`search --nmax 30000 --jobs 2 --out ...`, each RUNS = 3 times and each time
-in its own interpreter, with the package taken from --src (default: this
-checkout's src/).  For each run it takes wall time, CPU time (the search and
-its pool children), and both divided by perfbench's calibration loop
-(`worker.calibrate`, timed in this process right before and right after the
-search; the mean of the two is the unit), so that rows taken while the host
-runs at another speed stay comparable.  The row holds the median of each of
-these over the runs, and the run count.  It also records the number of files
-written and the sha256 of their `sha256sum`-style listing in byte order of
-the names, which shows the output bytes did not change; runs whose listings
-differ stop the script.  The row goes into --out (default:
+Runs `python -m spaceform search --nmax 8000 --jobs 1 --out ...` 10 times
+and `search --nmax 30000 --jobs 2 --out ...` 3 times (the counts in
+SEARCHES), each time in its own interpreter, with the package taken from
+--src (default: this checkout's src/), after one discarded warm-up run of
+each search.  The short search gets more runs, as a drift of the host's
+speed outlasts 3 runs of one second.  For each run it takes wall time, CPU
+time (the search and its pool children), and both divided by perfbench's
+calibration loop (`worker.calibrate`, timed in this process right before and
+right after the search; the mean of the two is the unit), so that rows taken
+while the host runs at another speed stay comparable.  The row holds the
+median of each of these over the runs, and the run count.  It also records
+the number of files written and the sha256 of their `sha256sum`-style
+listing in byte order of the names, which shows the output bytes did not
+change; runs whose listings differ stop the script.  The row goes into --out (default:
 BENCH_search.json at the root of the checkout) under its label, replacing a
 row of the same label; the host's core count and Python version go with it.
 The 30000 search takes tens of seconds; the whole script a few minutes.
 
-With --base, the runs are paired: each search alternates a run of
-CHECKOUT/src (the base) and a run of --src (the change), RUNS times each
-(ABAB), so a drift of the host's speed hits both sides alike.  The row then
-holds each side's medians and digest under "base" and "change", and the
-median over the pairs of change/base wall and CPU seconds.  It is printed,
+With --base, the runs are paired: after one discarded warm-up run per
+side, each search alternates a run of CHECKOUT/src (the base) and a run of
+--src (the change), its count of times each (ABAB), so a drift of the
+host's speed hits both sides alike.  The row then holds each side's medians
+and digest under "base" and "change", and the median, least and largest
+over the pairs of change/base wall and CPU seconds.  It is printed,
 and written only to an explicit --out.  Then the script exits 1, naming the
 search, if the base and the change wrote different bytes for any search.
 """
@@ -46,8 +49,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 from worker import calibrate  # noqa: E402
 
-SEARCHES = (("search_8000_jobs1", 8000, 1), ("search_30000_jobs2", 30000, 2))
-RUNS = 3
+# (row name, n_max, jobs, runs or pairs)
+SEARCHES = (("search_8000_jobs1", 8000, 1, 10), ("search_30000_jobs2", 30000, 2, 3))
 
 
 def listing_digest(directory: str) -> str:
@@ -86,20 +89,25 @@ def summarize(what: str, runs: list) -> dict:
     return {**row, "files": runs[0]["files"], "digest": runs[0]["digest"]}
 
 
-def median_row(src: str, n_max: int, jobs: int) -> dict:
-    runs = [time_search(src, n_max, jobs) for _ in range(RUNS)]
+def median_row(src: str, n_max: int, jobs: int, count: int) -> dict:
+    time_search(src, n_max, jobs)  # warm-up, discarded
+    runs = [time_search(src, n_max, jobs) for _ in range(count)]
     return {"n_max": n_max, "jobs": jobs, **summarize(f"search --nmax {n_max} --jobs {jobs}", runs)}
 
 
-def paired_row(base_src: str, src: str, n_max: int, jobs: int) -> dict:
-    """RUNS alternating (base, change) runs of one search: each side's medians
-    and the median per-pair ratio change/base of wall and CPU seconds."""
-    pairs = [(time_search(base_src, n_max, jobs), time_search(src, n_max, jobs)) for _ in range(RUNS)]
+def paired_row(base_src: str, src: str, n_max: int, jobs: int, count: int) -> dict:
+    """count alternating (base, change) runs of one search after one discarded
+    run of each: each side's medians and the median, least and largest
+    per-pair ratio change/base of wall and CPU seconds."""
+    time_search(base_src, n_max, jobs), time_search(src, n_max, jobs)  # warm-up, discarded
+    pairs = [(time_search(base_src, n_max, jobs), time_search(src, n_max, jobs)) for _ in range(count)]
     what = f"search --nmax {n_max} --jobs {jobs}"
     row = {"n_max": n_max, "jobs": jobs, "base": summarize(f"{what} (base)", [a for a, _ in pairs]),
            "change": summarize(f"{what} (change)", [b for _, b in pairs])}
     for key in ("wall_s", "cpu_s"):
-        row[f"{key}_ratio"] = round(statistics.median(b[key] / a[key] for a, b in pairs), 3)
+        ratios = [b[key] / a[key] for a, b in pairs]
+        row[f"{key}_ratio"] = round(statistics.median(ratios), 3)
+        row[f"{key}_ratio_min"], row[f"{key}_ratio_max"] = round(min(ratios), 3), round(max(ratios), 3)
     return row
 
 
@@ -115,15 +123,15 @@ def main() -> None:
     row = {"label": args.label, "cores": os.cpu_count(), "python": platform.python_version()}
     if args.base:
         base_src = os.path.join(os.path.abspath(args.base), "src")
-        row.update({name: paired_row(base_src, src, n_max, jobs) for name, n_max, jobs in SEARCHES})
+        row.update({name: paired_row(base_src, src, *search) for name, *search in SEARCHES})
     else:
-        row.update({name: median_row(src, n_max, jobs) for name, n_max, jobs in SEARCHES})
+        row.update({name: median_row(src, *search) for name, *search in SEARCHES})
     print(json.dumps(row, indent=1))
     out = args.out or (None if args.base else os.path.join(ROOT, "BENCH_search.json"))
     if out:
         write_row(out, row)
     if args.base:
-        differ = [name for name, _, _ in SEARCHES if row[name]["base"]["digest"] != row[name]["change"]["digest"]]
+        differ = [name for name, *_ in SEARCHES if row[name]["base"]["digest"] != row[name]["change"]["digest"]]
         if differ:
             sys.exit(f"base and change wrote different bytes: {', '.join(differ)}")
 
@@ -138,7 +146,8 @@ def write_row(out: str, row: dict) -> None:
         json.dump({"about": "tools/bench_search.py: whole searches through the CLI, wall and CPU seconds "
                             "and the same in units of perfbench's calibration loop; "
                             "rows with \"runs\" hold the medians of that many runs; paired rows "
-                            "(--base) hold them under \"base\" and \"change\", with the median ratios",
+                            "(--base) hold them under \"base\" and \"change\", with the median, "
+                            "least and largest per-pair ratios",
                    "rows": rows + [row]}, f, indent=1)
         f.write("\n")
 
