@@ -23,6 +23,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .errors import CertificationFailed, SpaceformError
 from .groups import (
@@ -162,6 +163,7 @@ def _cmd_crosscheck(args, diags) -> CommandResult:
     return CommandResult("ok", crosscheck_table(certs), diags)
 
 
+@lru_cache(maxsize=None)  # one parser per process, however often main runs in it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spaceform",

@@ -245,7 +245,10 @@ def almost_conjugate(rep1: SumRep, rep2: SumRep) -> bool:
     b = min(d1, d2), where the smaller d has alpha(b) = r^d = 1 and the other
     (r^cc - 1) * alpha(b) = 0 mod m with r^cc != 1, cc = gcd(d1, d2).  With
     equal d both sides share e = d/gcd(b, d), and a factor (e, M) is the
-    exponent coset M/e + (L/e)Z: equal eigenvalues are equal sorted M."""
+    exponent coset M/e + (L/e)Z: equal eigenvalues are equal sorted M.  As
+    g^-1 = A^(-a r^-b) B^(n-b) has the factors of g (_orbit_rows), the check
+    at (a, n - b) is the one at (-a, b): the rows b <= n/2 of _orbit_rows
+    suffice, with one sorted M list per orbit."""
     g1, g2 = rep1.group, rep2.group
     if g1.order != g2.order:
         raise GroupMismatch(f"|G1| = {g1.order} != |G2| = {g2.order}")
@@ -257,13 +260,15 @@ def almost_conjugate(rep1: SumRep, rep2: SumRep) -> bool:
     if g1.d != g2.d:  # element orders differ at b = min(d1, d2)
         return False
     m, L = g1.m, g1.order
-    for b in range(g1.n):
+    rows = zip(_orbit_rows(rep1), _orbit_rows(rep2))
+    for b, ((_, terms1, orbits1, owner1), (_, terms2, orbits2, owner2)) in enumerate(rows):
         alpha1, alpha2 = _alpha(g1, b), _alpha(g2, b)
-        terms1, terms2 = _factor_row(rep1, b, L)[1], _factor_row(rep2, b, L)[1]
+        ms1 = [_row_ms(terms1, u, m, L) for u, _ in orbits1]
+        ms2 = [_row_ms(terms2, u, m, L) for u, _ in orbits2]
         # One a per joint value of (a*alpha1(b), a*alpha2(b)) mod m: with h_i =
         # gcd(alpha_i(b), m) its period in a is lcm(m/h1, m/h2) = m/gcd(h1, h2).
         for a in range(m // math.gcd(alpha1, alpha2, m)):
-            if _row_ms(terms1, a * alpha1 % m, m, L) != _row_ms(terms2, a * alpha2 % m, m, L):
+            if ms1[owner1[a * alpha1 % m]] != ms2[owner2[a * alpha2 % m]]:
                 return False
     return True
 
@@ -272,42 +277,52 @@ def almost_conjugate(rep1: SumRep, rep2: SumRep) -> bool:
 # Determinant classes and the generating function F_G(z) over F_p.
 
 def _orbit_rows(rep: SumRep):
-    """Per b: (e, terms) of _factor_row and one (u, weight) per orbit of
-    u = a*alpha(b) mod m under u -> u*r, weight the number of elements A^a B^b
-    whose factors the orbit's u gives.
+    """Per row b <= n/2: (e, terms) of _factor_row, one (u, weight) per orbit
+    of u = a*alpha(b) mod m under u -> u*r, weight the number of elements
+    whose factors the orbit's u gives, and owner[u], the index of u's orbit.
 
     The factors of A^a B^b depend on a only through u.  As a runs over Z/m,
     u runs over the multiples of h = gcd(alpha(b), m), each h times.
     Conjugation by B sends A^a B^b to A^(ar) B^b, so u and u*r share their
     factors.  The orbits of hZ/m depend only on h, so each h walks them once.
+
+    g and g^-1 share det(I - rho(g) z), as rho(g) is a sum of real rotation
+    blocks.  With B A B^-1 = A^r, (A^a B^b)^-1 = A^(-a r^-b) B^(n-b), and
+    alpha(n-b) = alpha(b) (d | n): g^-1 lies in row n - b, in the orbit of
+    -u.  So rows b and n - b hold the same classes, and a row that is not its
+    own inverse (2b != 0 mod n) stands for both with doubled weights.  In the
+    rows b = 0 and b = n/2 the orbits of u and -u share their factors and
+    are walked as one entry carrying both weights.
     """
     g = rep.group
-    m = g.m
-    by_h: dict[int, list[tuple[int, int]]] = {}
-    for b in range(g.n):
+    m, n = g.m, g.n
+    by_h: dict[tuple[int, bool], tuple[list[tuple[int, int]], list[int]]] = {}
+    for b in range(n // 2 + 1):
+        self_inverse = 2 * b % n == 0
         h = math.gcd(_alpha(g, b), m)
-        orbits = by_h.get(h)
-        if orbits is None:
-            orbits = by_h[h] = []
-            seen = bytearray(m)
+        walked = by_h.get((h, self_inverse))
+        if walked is None:
+            orbits, owner = walked = by_h[h, self_inverse] = [], [-1] * m
             for u in range(0, m, h):
-                size, v = 0, u
-                while not seen[v]:
-                    seen[v] = 1
-                    size += 1
-                    v = v * g.r % m
-                if size:
-                    orbits.append((u, h * size))
-        yield (*_factor_row(rep, b, g.order), orbits)
+                if owner[u] < 0:
+                    index, size = len(orbits), 0
+                    for v in (u, -u % m) if self_inverse else (u,):
+                        while owner[v] < 0:
+                            owner[v] = index
+                            size += 1
+                            v = v * g.r % m
+                    orbits.append((u, h * size if self_inverse else 2 * h * size))
+        yield (*_factor_row(rep, b, g.order), *walked)
 
 
 def det_classes(rep: SumRep) -> tuple[tuple[DetFactors, int], ...]:
     """Group elements bucketed by their det(I - gz) factorization, with
-    counts: one factor row per orbit of _orbit_rows."""
+    counts: one factor row per orbit of _orbit_rows, whose rows b <= n/2
+    carry the weights of rows n - b, as g^-1 has the factors of g."""
     m, L = rep.group.m, rep.group.order
     _check_walk(rep.group)
     counts: dict[tuple[int, tuple[int, ...]], int] = {}
-    for e, terms, orbits in _orbit_rows(rep):
+    for e, terms, orbits, _ in _orbit_rows(rep):
         for u, weight in orbits:
             key = (e, tuple(_row_ms(terms, u, m, L)))
             counts[key] = counts.get(key, 0) + weight
@@ -596,7 +611,8 @@ def _screen_value(rep: SumRep, p: int, root: int, z: int) -> int:
     root^w a power of omega = root^(L*d/n), so tables of m and n/d powers
     stand in for the L powers of root.  The factors come in pairs (e, +-M),
     each giving 1 - (root^M + root^-M) X + X^2 with X = z^e.  Each orbit's
-    (weight, det) goes into the one sum over classes.
+    (weight, det) goes into the one sum over classes.  The walk visits the
+    rows b <= n/2 only: g^-1 has the det of g and lies in row n - b.
     """
     g = rep.group
     _check_walk(g)
@@ -605,7 +621,7 @@ def _screen_value(rep: SumRep, p: int, root: int, z: int) -> int:
     zetas = _root_powers(p, pow(root, L // m, p), m)
     omegas = _root_powers(p, pow(root, w_unit, p), nd)
     orbit_dets = []
-    for e, terms, orbits in _orbit_rows(rep):
+    for e, terms, orbits, _ in _orbit_rows(rep):
         x = pow(z, e, p)
         c = 1 + x * x
         pairs = [(kr, omegas[w // w_unit] * x % p, omegas[-(w // w_unit)] * x % p) for kr, w in terms]

@@ -163,28 +163,35 @@ def alpha_by_definition(g, c):
     return total % g.m
 
 
-def element_walk_det_classes(rep):
-    """The determinant classes from every one of the m*n elements, each
-    element's factors computed from (a, b) directly."""
+def element_factors(rep, a, b):
+    """The sorted factors (e, M) of det(I - rep(A^a B^b) z), computed from
+    (a, b) directly."""
     g = rep.group
     m, n, d = g.m, g.n, g.d
     L = m * n
+    c = math.gcd(b, d)
+    e, nd = d // c, n // d
+    alpha = alpha_by_definition(g, b)
+    factors = []
+    for s in rep.summands:
+        y = s.l * (b // c) % nd
+        base = a * s.k * alpha % m
+        rj = 1 % m
+        for _ in range(c):
+            M = (base * rj % m * (L // m) + y * (L // nd)) % L
+            factors += [(e, M), (e, (L - M) % L)]
+            rj = rj * g.r % m
+    return tuple(sorted(factors))
+
+
+def element_walk_det_classes(rep):
+    """The determinant classes from every one of the m*n elements
+    (element_factors)."""
+    g = rep.group
     counts = {}
-    for a in range(m):
-        for b in range(n):
-            c = math.gcd(b, d)
-            e, nd = d // c, n // d
-            alpha = alpha_by_definition(g, b)
-            factors = []
-            for s in rep.summands:
-                y = s.l * (b // c) % nd
-                base = a * s.k * alpha % m
-                rj = 1 % m
-                for _ in range(c):
-                    M = (base * rj % m * (L // m) + y * (L // nd)) % L
-                    factors += [(e, M), (e, (L - M) % L)]
-                    rj = rj * g.r % m
-            key = tuple(sorted(factors))
+    for a in range(g.m):
+        for b in range(g.n):
+            key = element_factors(rep, a, b)
             counts[key] = counts.get(key, 0) + 1
     return tuple(sorted(counts.items()))
 

@@ -13,7 +13,7 @@ from spaceform.errors import (
     SizeLimitExceeded,
 )
 from spaceform import spectra
-from spaceform.groups import element_order, is_fixed_point_free, validate_type1
+from spaceform.groups import element_order, inverse, is_fixed_point_free, validate_type1
 from spaceform.numtheory import is_prime, prime_factors
 from spaceform.spectra import (
     RepParams,
@@ -43,6 +43,7 @@ from oracles import (
     char_poly_matrix_oracle,
     contains_zero,
     element_exponents,
+    element_factors,
     element_walk_almost_conjugate,
     element_walk_det_classes,
     is_conjugation_closed,
@@ -298,12 +299,17 @@ def test_almost_conjugate_orbit_walk_matches_element_walk():
     # groups (35, 12, 3) and (35, 12, 2), not fixed point free, pin the joint
     # period: at b = 3 and 9 alpha(b) = 0 for r = 3 and gcd(alpha(b), 35) = 5
     # for r = 2, so r = 3's period alone walks only a = 0, where they agree.
+    # The walk visits the rows b <= n/2 only: (91, 6, 3) and (91, 6, 30)
+    # differ only on the self-inverse row b = n/2 = 3, (65, 4, 8) and
+    # (65, 4, 18) only on the row b = 0.
     cases = [(validate_type1(m, n, r1), validate_type1(m, n, r2), True)
              for N, m, n, d, r1, r2 in TABLE1_ROWS if N <= 3600]
     cases += [(G85, validate_type1(85, 16, 9), False), (G85B, validate_type1(85, 16, 9), False),
               (validate_type1(221, 16, 8), validate_type1(221, 16, 25), False),
               (validate_type1(35, 12, 3), validate_type1(35, 12, 2), False),
-              (validate_type1(35, 12, 2), validate_type1(35, 12, 3), False)]
+              (validate_type1(35, 12, 2), validate_type1(35, 12, 3), False),
+              (validate_type1(91, 6, 3), validate_type1(91, 6, 30), False),
+              (validate_type1(65, 4, 8), validate_type1(65, 4, 18), False)]
     for g1, g2, expected in cases:
         rep1, rep2 = SumRep.rho11(g1), SumRep.rho11(g2)
         assert almost_conjugate(rep1, rep2) is expected
@@ -350,6 +356,28 @@ def test_element_order_follows_alpha(valid_pool_2000):
             for b in range(g.n):
                 expected = g.n // math.gcd(g.n, b) * (g.m // math.gcd(alpha_by_definition(g, b), g.m))
                 assert element_order(g.element(1, b)) == expected, (g, b)
+
+
+def test_inverse_rows_share_their_classes(valid_pool_2000):
+    # The lemma behind the orbit walk's rows b <= n/2, from element factors
+    # computed without spectra: g and g^-1 have the same factors; rows b
+    # and n - b have the same e, the same h = gcd(alpha(b), m) and the same
+    # multiset of factor lists; in a self-inverse row (2b = 0 mod n) the
+    # elements of u = a*alpha(b) and -u have the same factors.
+    rng = random.Random(89)
+    pool = [g for g in valid_pool_2000 if g.m * g.n <= 600]
+    reps = [SumRep.rho11(g) for g in pool] + _random_sum_reps(rng, pool, 40)
+    for rep in reps:
+        g = rep.group
+        m, n = g.m, g.n
+        rows = [[element_factors(rep, a, b) for a in range(m)] for b in range(n)]
+        for b in range(n):
+            assert all(rows[b][a] == rows[x.b][x.a] for a in range(m) for x in [inverse(g.element(a, b))]), (rep, b)
+            assert math.gcd(b, g.d) == math.gcd(n - b, g.d), (rep, b)
+            assert math.gcd(alpha_by_definition(g, b), m) == math.gcd(alpha_by_definition(g, n - b), m), (rep, b)
+            assert sorted(rows[b]) == sorted(rows[(n - b) % n]), (rep, b)
+            if 2 * b % n == 0:
+                assert all(rows[b][a] == rows[b][-a % m] for a in range(m)), (rep, b)
 
 
 # --- fingerprints -------------------------------------------------------

@@ -26,7 +26,9 @@ side, each search alternates a run of CHECKOUT/src (the base) and a run of
 --src (the change), its count of times each (ABAB), so a drift of the
 host's speed hits both sides alike.  The row then holds each side's medians
 and digest under "base" and "change", and the median, least and largest
-over the pairs of change/base wall and CPU seconds.  It is printed,
+over the pairs of change/base wall and CPU seconds, and of wall and CPU time
+in calibration units, which leave out a change of the host's speed between
+the two runs of a pair.  It is printed,
 and written only to an explicit --out.  Then the script exits 1, naming the
 search, if the base and the change wrote different bytes for any search.
 """
@@ -98,13 +100,14 @@ def median_row(src: str, n_max: int, jobs: int, count: int) -> dict:
 def paired_row(base_src: str, src: str, n_max: int, jobs: int, count: int) -> dict:
     """count alternating (base, change) runs of one search after one discarded
     run of each: each side's medians and the median, least and largest
-    per-pair ratio change/base of wall and CPU seconds."""
+    per-pair ratio change/base of wall and CPU seconds and of wall_cal and
+    cpu_cal."""
     time_search(base_src, n_max, jobs), time_search(src, n_max, jobs)  # warm-up, discarded
     pairs = [(time_search(base_src, n_max, jobs), time_search(src, n_max, jobs)) for _ in range(count)]
     what = f"search --nmax {n_max} --jobs {jobs}"
     row = {"n_max": n_max, "jobs": jobs, "base": summarize(f"{what} (base)", [a for a, _ in pairs]),
            "change": summarize(f"{what} (change)", [b for _, b in pairs])}
-    for key in ("wall_s", "cpu_s"):
+    for key in ("wall_s", "cpu_s", "wall_cal", "cpu_cal"):
         ratios = [b[key] / a[key] for a, b in pairs]
         row[f"{key}_ratio"] = round(statistics.median(ratios), 3)
         row[f"{key}_ratio_min"], row[f"{key}_ratio_max"] = round(min(ratios), 3), round(max(ratios), 3)
