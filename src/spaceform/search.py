@@ -306,8 +306,9 @@ def run_search(cfg: SearchConfig) -> list[PairCertificate]:
     # reached them last would leave its other workers idle.  Orders that can
     # hold a pair are few (2280 of 29999 up to 30000): one per task.
     orders = _pairing_orders(cfg.n_max)
-    if cfg.jobs > 1:  # workers ignore SIGINT: Ctrl-C reaches the parent, whose with block ends them
-        with multiprocessing.Pool(cfg.jobs, initializer=signal.signal,
+    jobs = min(cfg.jobs, len(orders))  # no worker without an order
+    if jobs > 1:  # workers ignore SIGINT: Ctrl-C reaches the parent, whose with block ends them
+        with multiprocessing.Pool(jobs, initializer=signal.signal,
                                   initargs=(signal.SIGINT, signal.SIG_IGN)) as pool:
             chunks = pool.map(_search_worker, orders, chunksize=1)
         certs = [c for chunk in chunks for c in chunk]

@@ -671,35 +671,21 @@ class SpectrumFingerprint:
                 "values_preview": values[:4]}
 
 
-# F-value vectors by (classes, |G|, p, #points) and Molien series by
-# (classes, L, K, p): both depend on the class multiset alone, so the two
-# members of a pair, and a query repeated in one process, share one.  The
-# last _MEMO_SIZE of each are kept, the oldest dropped first.  It must be at
-# least 5: perfbench's pair queries make 4 other vectors between certify_pair
-# on the 1360 pair and the certify-pair command on it.  A 29648 vector (9797
-# points) holds about 0.4 MB.  A search hits it only within a bucket (no two
-# orders share a key) and keeps at most _MEMO_SIZE vectors per worker.  The
-# kernels (evaluate_f_values, _molien_from_classes) stay uncached.
+# One F-value vector and one Molien series per class multiset: keyed by
+# content, they serve both members of a pair and a query repeated in one
+# process.  _MEMO_SIZE must be at least 5: perfbench's pair queries make 4
+# other vectors between certify_pair on the 1360 pair and the certify-pair
+# command on it.  A 29648 vector (9797 points) holds about 0.4 MB, and the
+# points in its key as much again.  The kernels (evaluate_f_values,
+# _molien_from_classes) stay uncached.
 _MEMO_SIZE = 8
-_F_VALUE_MEMO: dict = {}
-_MOLIEN_MEMO: dict = {}
 
 
-def _remembered(memo: dict, key, compute) -> tuple:
-    """memo[key], computed as a tuple by compute() on a miss."""
-    if key not in memo:
-        memo[key] = tuple(compute())
-        if len(memo) > _MEMO_SIZE:
-            del memo[next(iter(memo))]
-    return memo[key]
-
-
+@lru_cache(maxsize=_MEMO_SIZE)
 def _full_vector(classes, group_order: int, grid, evaluate) -> tuple[int, ...]:
-    """The F-values of classes on grid = (p, root, points), from
-    _F_VALUE_MEMO or by evaluate (the caller's evaluate_f_values)."""
-    p, _, points = grid
-    return _remembered(_F_VALUE_MEMO, (classes, group_order, p, len(points)),
-                       lambda: evaluate(classes, group_order, *grid))
+    """The F-values of classes on grid = (p, root, points), by evaluate
+    (the caller's evaluate_f_values)."""
+    return tuple(evaluate(classes, group_order, *grid))
 
 
 def _certificate_grid(spectra) -> tuple[int, int, tuple[int, ...]]:
@@ -762,9 +748,12 @@ def molien_coefficients(rep: SumRep, truncation: int = DEFAULT_MOLIEN_TRUNCATION
                  len(classes) * truncation * rep.degree, "Molien terms")
     L = rep.group.order
     p = choose_prime(L, max(DEFAULT_PRIME_FLOOR, harmonic_dim(rep.degree - 1, truncation)))
-    series = _remembered(_MOLIEN_MEMO, (classes, L, truncation, p),
-                         lambda: _molien_from_classes(classes, L, truncation, p, root_of_unity(p, L)))
-    return MolienSeries(truncation, series)
+    return MolienSeries(truncation, _molien_series(classes, L, truncation, p))
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _molien_series(classes, L: int, K: int, p: int) -> tuple[int, ...]:
+    return tuple(_molien_from_classes(classes, L, K, p, root_of_unity(p, L)))
 
 
 def _molien_from_classes(classes, group_order: int, K: int, p: int, root: int) -> list[int]:

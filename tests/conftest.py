@@ -27,12 +27,13 @@ def enumerate_valid_groups(max_order: int):
 
 @pytest.fixture(autouse=True)
 def fresh_spectra():
-    """Spectrum.of keeps its last few spectra, and spectra its last few
-    F-value vectors and Molien series: a test that counts the class walks or
-    evaluations its code makes must not see those of an earlier test."""
+    """Spectrum.of keeps its last few spectra, and spectra the F-value
+    vectors and Molien series it used last (_full_vector, _molien_series):
+    a test that counts the class walks or evaluations its code makes must
+    not see those of an earlier test."""
     Spectrum.of.cache_clear()
-    spectra._F_VALUE_MEMO.clear()
-    spectra._MOLIEN_MEMO.clear()
+    spectra._full_vector.cache_clear()
+    spectra._molien_series.cache_clear()
 
 
 @pytest.fixture(scope="session")

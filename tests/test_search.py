@@ -169,6 +169,32 @@ def test_run_search_dispatches_exactly_the_pairing_orders(monkeypatch):
     assert [c.N for c in certs] == [1360, 2720, 3280, 3536]
 
 
+@pytest.mark.parametrize("n_max, jobs, pool_sizes", [(200, 8, []), (500, 8, [4]), (500, 2, [2]), (500, 1, [])])
+def test_run_search_pool_is_no_larger_than_its_orders(monkeypatch, n_max, jobs, pool_sizes):
+    # _pairing_orders(200) is empty and _pairing_orders(500) holds 4 orders;
+    # a pool of one or none runs serially.  The fake pool starts no process.
+    import multiprocessing
+
+    sizes = []
+
+    class FakePool:
+        def __init__(self, processes, initializer=None, initargs=()):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable, chunksize=None):
+            return list(map(fn, iterable))
+
+    monkeypatch.setattr(multiprocessing, "Pool", FakePool)
+    assert run_search(SearchConfig(n_max=n_max, jobs=jobs)) == []
+    assert sizes == pool_sizes
+
+
 def test_pairs_for_order_walks_every_multi_member_bucket(monkeypatch):
     # On a seeded sample of orders up to 30000, the search builds exactly the
     # multi-member buckets of the full walk.
@@ -491,7 +517,7 @@ def test_fingerprint_after_certify_pair_reuses_its_vector(monkeypatch):
     certify_pair(g2, g42)
     record = spectra.fingerprint(SumRep.rho11(g2))
     assert len(lengths) == 1
-    spectra._F_VALUE_MEMO.clear()
+    spectra._full_vector.cache_clear()
     assert spectra.fingerprint(SumRep.rho11(g2)).canonical_bytes() == record.canonical_bytes()
     assert len(lengths) == 2
 

@@ -314,6 +314,16 @@ def test_almost_conjugate_orbit_walk_matches_element_walk():
         rep1, rep2 = SumRep.rho11(g1), SumRep.rho11(g2)
         assert almost_conjugate(rep1, rep2) is expected
         assert element_walk_almost_conjugate(rep1, rep2, _natural(g2)) is expected
+    # Only a self-inverse row may walk u and -u as one entry.  r = 16 and 9
+    # are (2, 3) and (2, 9) in Z_7 x Z_13: <r1> != <r2>, both inside
+    # E = <2> x <3>, which does not hold -1.  Under rho_{k,1} summed over
+    # k in <(2, 1)> = {1, 79, 53}, the k*<r_i> cover E once for both groups,
+    # so the sums are almost conjugate.  In the row b = 3, u = 10 has the orbit
+    # {10, 69, 12} under 16 and {10, 90, 82} under 9, whose negatives hold 1:
+    # such a walk would compare 10*E with -10*E there.
+    pairs = [(1, 1), (79, 1), (53, 1)]
+    rep1, rep2 = (SumRep.from_pairs(validate_type1(91, 9, r), pairs) for r in (16, 9))
+    assert almost_conjugate(rep1, rep2) is element_walk_almost_conjugate(rep1, rep2, _natural(rep2.group)) is True
 
 
 def test_almost_conjugate_across_d_compares_eigenvalues(valid_pool_2000):
@@ -783,8 +793,10 @@ def _counting(monkeypatch, name):
 
 
 def test_memo_recomputes_the_oldest_past_its_bound(fpf_pool_2000, monkeypatch):
-    # bound + 1 distinct class multisets: the first vector and series are
-    # dropped and computed again, and neither memo ever holds more than the bound.
+    # bound + 1 distinct class multisets, the first read again before the
+    # last: the least recently used (the second) vector and series are
+    # dropped and computed again, the first is kept, and neither memo ever
+    # holds more than the bound.
     vectors, series = _counting(monkeypatch, "evaluate_f_values"), _counting(monkeypatch, "_molien_from_classes")
     reps, seen = [], set()
     for g in fpf_pool_2000:
@@ -796,12 +808,17 @@ def test_memo_recomputes_the_oldest_past_its_bound(fpf_pool_2000, monkeypatch):
             break
     records = []
     for rep in reps:
+        if len(records) == spectra._MEMO_SIZE:
+            assert (fingerprint(reps[0]), molien_coefficients(reps[0], 10)) == records[0]
         records.append((fingerprint(rep), molien_coefficients(rep, 10)))
-        assert len(spectra._F_VALUE_MEMO) <= spectra._MEMO_SIZE >= len(spectra._MOLIEN_MEMO)
+        vector_memo, series_memo = spectra._full_vector.cache_info(), spectra._molien_series.cache_info()
+        assert vector_memo.currsize <= spectra._MEMO_SIZE >= series_memo.currsize
     assert len(vectors) == len(series) == len(reps)
     assert (fingerprint(reps[-1]), molien_coefficients(reps[-1], 10)) == records[-1]
     assert len(vectors) == len(series) == len(reps)
     assert (fingerprint(reps[0]), molien_coefficients(reps[0], 10)) == records[0]
+    assert len(vectors) == len(series) == len(reps)
+    assert (fingerprint(reps[1]), molien_coefficients(reps[1], 10)) == records[1]
     assert len(vectors) == len(series) == len(reps) + 1
 
 
@@ -814,8 +831,8 @@ def test_memo_follows_the_prime_seed(monkeypatch):
     monkeypatch.setenv("SPACEFORM_PRIME_SEED", "1")
     seeded = (fingerprint(rep), molien_coefficients(rep, 40))
     assert seeded[0].p != default[0].p and seeded[0].values != default[0].values
-    spectra._F_VALUE_MEMO.clear()
-    spectra._MOLIEN_MEMO.clear()
+    spectra._full_vector.cache_clear()
+    spectra._molien_series.cache_clear()
     assert (fingerprint(rep), molien_coefficients(rep, 40)) == seeded
 
 
