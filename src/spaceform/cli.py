@@ -1,8 +1,11 @@
 """Command-line surface.
 
 Subcommands: validate, orders, isomorphic, fingerprint, certify-pair,
-search, construct, crosscheck.  Payloads are JSON (indented by default,
-canonical one-line bytes with --json); diagnostics go to stderr; exit code 0
+search, construct, crosscheck.  A command ends with a status ("ok" or
+"error"), a JSON payload and diagnostics.  By default stdout holds the
+indented payload and stderr one "# " line per diagnostic; with --json stdout
+holds one canonical line, the record {"status", "payload", "diagnostics"},
+whose diagnostics are those stderr lines without "# ".  The exit code is 0
 iff status is ok.  Library errors and OSErrors (an --out path that cannot be
 a directory) become an error record with exit code 1, and so does an
 interrupt (Ctrl-C): a search's pool workers ignore SIGINT and are terminated
@@ -22,7 +25,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .errors import CertificationFailed, SpaceformError
@@ -44,49 +46,39 @@ from .search import (
 from .spectra import SumRep, fingerprint, molien_coefficients
 
 
-@dataclass
-class CommandResult:
-    status: str
-    payload: object
-    diagnostics: list[str] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {"status": self.status, "payload": self.payload, "diagnostics": self.diagnostics}
-
-
 def _reduce_r(m: int, r: int, diags: list[str]) -> int:
     if not 0 <= r < m:
         diags.append(f"r={r} reduced to {r % m} mod m={m}")
     return r % m
 
 
-def _cmd_validate(args, diags) -> CommandResult:
+def _cmd_validate(args, diags) -> tuple[str, object]:
     g = validate_type1(args.m, args.n, _reduce_r(args.m, args.r, diags))
     payload = {
         "m": g.m, "n": g.n, "r": g.r, "d": g.d, "order": g.order,
         "fixed_point_free": is_fixed_point_free(g), "cyclic": g.is_cyclic,
     }
-    return CommandResult("ok", payload, diags)
+    return "ok", payload
 
 
-def _cmd_orders(args, diags) -> CommandResult:
+def _cmd_orders(args, diags) -> tuple[str, object]:
     g = validate_type1(args.m, args.n, _reduce_r(args.m, args.r, diags))
     payload = {"m": g.m, "n": g.n, "r": g.r, "d": g.d, "orders": list(order_set_formula(g))}
     if args.brute:
         brute = list(order_set_bruteforce(g))
         payload["brute"] = brute
         payload["equal"] = brute == payload["orders"]
-    return CommandResult("ok", payload, diags)
+    return "ok", payload
 
 
-def _cmd_isomorphic(args, diags) -> CommandResult:
+def _cmd_isomorphic(args, diags) -> tuple[str, object]:
     g1 = validate_type1(args.m, args.n, _reduce_r(args.m, args.r1, diags))
     g2 = validate_type1(args.m, args.n, _reduce_r(args.m, args.r2, diags))
     payload = {
         "m": args.m, "n": args.n, "r1": g1.r, "r2": g2.r,
         "d1": g1.d, "d2": g2.d, "isomorphic": is_isomorphic(g1, g2),
     }
-    return CommandResult("ok", payload, diags)
+    return "ok", payload
 
 
 def _parse_reps(text: str) -> tuple[tuple[int, int], ...]:
@@ -108,48 +100,48 @@ def _int_at_least(low: int):
     return integer
 
 
-def _cmd_fingerprint(args, diags) -> CommandResult:
+def _cmd_fingerprint(args, diags) -> tuple[str, object]:
     g = validate_type1(args.m, args.n, _reduce_r(args.m, args.r, diags))
     rep = SumRep.from_pairs(g, args.reps)
     payload = fingerprint(rep).to_dict()
     if args.kmolien is not None:
         payload = {"fingerprint": payload,
                    "molien": list(molien_coefficients(rep, args.kmolien).coefficients)}
-    return CommandResult("ok", payload, diags)
+    return "ok", payload
 
 
-def _cmd_certify_pair(args, diags) -> CommandResult:
+def _cmd_certify_pair(args, diags) -> tuple[str, object]:
     g1 = validate_type1(args.m, args.n, _reduce_r(args.m, args.r1, diags))
     g2 = validate_type1(args.m, args.n, _reduce_r(args.m, args.r2, diags))
     try:
         cert = certify_pair(g1, g2)
     except CertificationFailed as exc:
-        return CommandResult("error", {"refuted": True, "failed_check": exc.check, "detail": exc.detail},
-                             diags + [str(exc)])
+        diags.append(str(exc))
+        return "error", {"refuted": True, "failed_check": exc.check, "detail": exc.detail}
     if args.kmolien is not None:
         m1 = molien_coefficients(SumRep.rho11(g1), args.kmolien).coefficients
         m2 = molien_coefficients(SumRep.rho11(g2), args.kmolien).coefficients
         if m1 != m2:
-            return CommandResult("error", {"refuted": True, "failed_check": "molien"},
-                                 diags + ["molien coefficients differ"])
+            diags.append("molien coefficients differ")
+            return "error", {"refuted": True, "failed_check": "molien"}
         diags.append(f"molien coefficients agree through k={args.kmolien}")
-    return CommandResult("ok", cert.to_dict(), diags)
+    return "ok", cert.to_dict()
 
 
-def _pairs_result(certs, out, diags, **header) -> CommandResult:
+def _pairs_result(certs, out, diags, **header) -> tuple[str, object]:
     """The pair table of a search or construction, noting where it was written."""
     if out:
         diags.append(f"wrote {len(certs)} certificates and pairs.csv to {out}")
     rows = [[c.N, c.m, c.n, c.d, c.r1, c.r2] for c in certs]
-    return CommandResult("ok", {**header, "pair_count": len(certs), "rows": rows}, diags)
+    return "ok", {**header, "pair_count": len(certs), "rows": rows}
 
 
-def _cmd_search(args, diags) -> CommandResult:
+def _cmd_search(args, diags) -> tuple[str, object]:
     certs = run_search(SearchConfig(n_max=args.nmax, jobs=args.jobs, output_path=args.out))
     return _pairs_result(certs, args.out, diags, n_max=args.nmax)
 
 
-def _cmd_construct(args, diags) -> CommandResult:
+def _cmd_construct(args, diags) -> tuple[str, object]:
     if args.out:
         os.makedirs(args.out, exist_ok=True)  # a bad path fails before the construction
     certs = construct_theorem42_pairs(args.mmax)
@@ -158,9 +150,9 @@ def _cmd_construct(args, diags) -> CommandResult:
     return _pairs_result(certs, args.out, diags, m_max=args.mmax)
 
 
-def _cmd_crosscheck(args, diags) -> CommandResult:
+def _cmd_crosscheck(args, diags) -> tuple[str, object]:
     certs = run_search(SearchConfig(n_max=args.nmax, jobs=args.jobs))
-    return CommandResult("ok", crosscheck_table(certs), diags)
+    return "ok", crosscheck_table(certs)
 
 
 @lru_cache(maxsize=None)  # one parser per process, however often main runs in it
@@ -218,20 +210,18 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     diags: list[str] = []
     try:
-        result = args.handler(args, diags)
-    except (SpaceformError, OSError) as exc:
-        result = CommandResult("error", {"error": type(exc).__name__, "message": str(exc)},
-                               diags + [str(exc)])
-    except KeyboardInterrupt:
-        result = CommandResult("error", {"error": "KeyboardInterrupt", "message": "interrupted"},
-                               diags + ["interrupted"])
+        status, payload = args.handler(args, diags)
+    except (SpaceformError, OSError, KeyboardInterrupt) as exc:
+        message = "interrupted" if isinstance(exc, KeyboardInterrupt) else str(exc)
+        status, payload = "error", {"error": type(exc).__name__, "message": message}
+        diags.append(message)
     if args.json:
-        sys.stdout.write(json.dumps(result.to_dict(), sort_keys=True, separators=(",", ":")) + "\n")
+        record = {"status": status, "payload": payload, "diagnostics": diags}
+        sys.stdout.write(json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n")
     else:
-        sys.stdout.write(json.dumps(result.payload, sort_keys=True, indent=2) + "\n")
-        for line in result.diagnostics:
-            sys.stderr.write(f"# {line}\n")
-    return 0 if result.status == "ok" else 1
+        sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        sys.stderr.writelines(f"# {line}\n" for line in diags)
+    return 0 if status == "ok" else 1
 
 
 if __name__ == "__main__":

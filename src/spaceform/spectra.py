@@ -698,9 +698,9 @@ def _certificate_grid(spectra) -> tuple[int, int, tuple[int, ...]]:
 
 def _fingerprint_record(s: Spectrum, shared, grid, values) -> SpectrumFingerprint:
     """s's record from its values on _certificate_grid(shared), cut to the
-    largest degree bound of shared: select_points is a prefix rule."""
+    largest point count of shared: select_points is a prefix rule."""
     g, db = s.rep.group, max(t.degree_bound for t in shared)
-    (p, root, points), count = grid, 2 * db + 1
+    (p, root, points), count = grid, max(t.point_count for t in shared)
     return SpectrumFingerprint(g.m, g.n, g.d, g.r, s.rep.pairs, p, root, db, points[:count], values[:count])
 
 

@@ -191,6 +191,42 @@ def test_certify_pair_refuted():
     assert payload(proc)["failed_check"] == "fingerprint"
 
 
+@pytest.mark.parametrize("argv, status, diagnostics", [
+    (["validate", "85", "16", "87"], "ok", 1),
+    (["certify-pair", "85", "16", "2", "9"], "error", 1),
+    (["fingerprint", "1853", "128", "76"], "error", 1),
+    (["fingerprint", "85", "16", "2", "--kmolien", "8"], "ok", 0),
+    (["search", "--nmax", "1400", "--out", "{out}"], "ok", 1),
+], ids=["reduced-r", "refuted", "size-limit", "molien", "wrote"])
+def test_json_record_holds_the_plain_output(argv, status, diagnostics, tmp_path, capsys):
+    # --json prints {"status", "payload", "diagnostics"}: the payload that the
+    # plain mode prints and its stderr lines without "# ".
+    argv = [arg.format(out=tmp_path / "out") for arg in argv]
+    code = spaceform.cli.main(argv)
+    plain = capsys.readouterr()
+    assert spaceform.cli.main([*argv, "--json"]) == code == (0 if status == "ok" else 1)
+    record = json.loads(capsys.readouterr().out)
+    lines = plain.err.splitlines()
+    assert len(lines) == diagnostics and all(line.startswith("# ") for line in lines)
+    assert record == {"status": status, "payload": json.loads(plain.out),
+                      "diagnostics": [line[2:] for line in lines]}
+
+
+# sha256 of the `sha256sum`-style listing, in sorted order of the names, of the
+# 6 files that `construct --mmax 221 --out` writes (tools/bench_search.py).
+CONSTRUCT_221_DIGEST = "017b12a8a9f29a7e0fac5940644fd943aa751c66ec18a9f4d57be8aa31466540"
+
+
+def test_construct_artifacts_match_recorded_digest(tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("SPACEFORM_PRIME_SEED", raising=False)
+    out_dir = tmp_path / "c"
+    assert spaceform.cli.main(["construct", "--mmax", "221", "--out", str(out_dir)]) == 0
+    assert json.loads(capsys.readouterr().out)["pair_count"] == 5
+    names = sorted(os.listdir(out_dir))
+    listing = "".join(f"{hashlib.sha256((out_dir / name).read_bytes()).hexdigest()}  {name}\n" for name in names)
+    assert len(names) == 6 and hashlib.sha256(listing.encode()).hexdigest() == CONSTRUCT_221_DIGEST
+
+
 def test_search_no_pairs(tmp_path):
     out_dir = tmp_path / "s"
     out = payload(run_cli("search", "--nmax", "300", "--out", str(out_dir)))

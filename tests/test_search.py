@@ -700,9 +700,11 @@ def test_construct_theorem42_d4_never_pairs():
 
 
 def test_construct_matches_search_certificates():
-    built = construct_theorem42_pairs(85)[0]
-    searched = run_search(SearchConfig(n_max=1360))[0]
-    assert built.canonical_bytes() == searched.canonical_bytes()
+    built = construct_theorem42_pairs(221)
+    assert [c.N for c in built] == [1360, 2720, 3280, 3536, 7072]
+    for c in built:
+        searched = {(s.m, s.r1, s.r2): s for s in _pairs_for_order(c.N)}
+        assert c.canonical_bytes() == searched[c.m, c.r1, c.r2].canonical_bytes()
 
 
 def test_construct_to_m221_matches_table_rows():
